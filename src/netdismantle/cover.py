@@ -60,11 +60,11 @@ def weighted_vertex_cover(cut: np.ndarray, costs: CostVector) -> CoverResult:
     w = costs.w
     if (w < 0).any():
         raise InvalidCostError("cost vector has negative entries")
+    weight = w.tolist()
     residual: dict[int, float] = {}
-    for u, v in cut:
-        u, v = int(u), int(v)
-        ru = residual.setdefault(u, float(w[u]))
-        rv = residual.setdefault(v, float(w[v]))
+    for u, v in cut.tolist():
+        ru = residual.setdefault(u, weight[u])
+        rv = residual.setdefault(v, weight[v])
         if ru > 0.0 and rv > 0.0:
             eps = min(ru, rv)
             residual[u] = ru - eps
@@ -79,18 +79,21 @@ def prune_redundant(result: CoverResult, cut: np.ndarray, costs: CostVector) -> 
     endpoint, trying the most expensive first (ties: larger id first, so
     equal-cost pairs resolve toward keeping the earlier node)."""
     cut = np.asarray(cut, dtype=np.int64).reshape(-1, 2)
-    cover = {int(v) for v in result.cover}
+    cover = set(result.cover.tolist())
     # partner[v] lists the opposite endpoint of each cut edge at v; with no
     # self-loops the opposite endpoint is never v itself
     partner: dict[int, list[int]] = {v: [] for v in cover}
-    for u, v in cut:
-        u, v = int(u), int(v)
+    for u, v in cut.tolist():
         if u in partner:
             partner[u].append(v)
         if v in partner:
             partner[v].append(u)
+    # the cover only shrinks, so a node with a partner outside it now can
+    # never be dropped; only the others need a visit
+    candidates = [v for v in cover if all(other in cover for other in partner[v])]
     w = costs.w
-    for v in sorted(cover, key=lambda x: (-w[x], -x)):
+    weight = w.tolist()
+    for v in sorted(candidates, key=lambda x: (-weight[x], -x)):
         if all(other in cover for other in partner[v]):
             cover.discard(v)
     kept = np.array(sorted(cover), dtype=np.int64)

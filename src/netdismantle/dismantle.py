@@ -14,7 +14,8 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -70,7 +71,6 @@ class SolutionMetadata:
     phase_seconds: dict = field(default_factory=dict)
 
 
-@dataclass
 class DismantlingSolution:
     """Outcome of one run.
 
@@ -78,32 +78,93 @@ class DismantlingSolution:
     gcc_after is the largest-component size once that node and all
     earlier ones are gone.  trajectory pairs cumulative cost with gcc
     size, starting from (0, initial gcc) before any removal.
+
+    Both come from replaying the deletion order over the graph, which
+    happens once, on the first read of removal_order, trajectory or
+    final_gcc.  The replay then lets go of the graph, and a pickled
+    solution is always a replayed one.
     """
 
-    removal_order: list[tuple[int, float, int]]
-    removed: frozenset[int]
-    total_cost: float
-    trajectory: list[tuple[float, int]]
-    metadata: SolutionMetadata
+    def __init__(
+        self,
+        graph: Graph,
+        order: np.ndarray,
+        node_costs: np.ndarray,
+        metadata: SolutionMetadata,
+    ):
+        self.removed = frozenset(order.tolist())
+        self.total_cost = float(node_costs.sum())
+        self.metadata = metadata
+        self._pending: tuple[Graph, np.ndarray, np.ndarray] | None = (graph, order, node_costs)
+
+    def _replay(self) -> None:
+        if self._pending is None:
+            return
+        started = time.perf_counter()
+        graph, order, node_costs = self._pending
+        after, initial = replay_gcc_sizes(graph, order)
+        if initial != self.metadata.initial_gcc:
+            raise InternalInvariantError("replayed initial gcc disagrees with direct computation")
+        after = after.tolist()
+        costs = node_costs.tolist()
+        self._removal_order = list(zip(order.tolist(), costs, after))
+        self._trajectory = list(zip(accumulate(costs, initial=0.0), [initial, *after]))
+        self._pending = None
+        self.metadata.phase_seconds["replay"] = time.perf_counter() - started
+
+    @property
+    def removal_order(self) -> list[tuple[int, float, int]]:
+        self._replay()
+        return self._removal_order
+
+    @property
+    def trajectory(self) -> list[tuple[float, int]]:
+        self._replay()
+        return self._trajectory
 
     @property
     def final_gcc(self) -> int:
         return self.trajectory[-1][1]
 
+    def _deletion_order(self) -> list[int]:
+        """Removed node ids in deletion order, without forcing the replay."""
+        if self._pending is not None:
+            return self._pending[1].tolist()
+        return [v for v, _, _ in self._removal_order]
+
+    def __getstate__(self) -> dict:
+        # the replayed fields under their public names: no graph or order
+        # array travels back from a pool worker
+        return {
+            "removal_order": self.removal_order,
+            "removed": self.removed,
+            "total_cost": self.total_cost,
+            "trajectory": self.trajectory,
+            "metadata": self.metadata,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.removed = state["removed"]
+        self.total_cost = state["total_cost"]
+        self.metadata = state["metadata"]
+        self._pending = None
+        self._removal_order = state["removal_order"]
+        self._trajectory = state["trajectory"]
+
 
 class _UnionFind:
-    """Array union-find with path halving, sized for replay loops."""
+    """List union-find with path halving, sized for replay loops."""
 
-    def __init__(self, n: int):
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
+    def __init__(self, parent: list[int], size: list[int]):
+        self.parent = parent
+        self.size = size
 
     def find(self, v: int) -> int:
         parent = self.parent
         while parent[v] != v:
             parent[v] = parent[parent[v]]
             v = parent[v]
-        return int(v)
+        return v
 
     def union(self, a: int, b: int) -> int:
         ra, rb = self.find(a), self.find(b)
@@ -119,13 +180,14 @@ class _UnionFind:
     def over_components(cls, graph: Graph, mask) -> tuple["_UnionFind", int]:
         """Seed a union-find with the masked graph's components as flat
         stars, skipping the per-edge union loop.  Returns (forest, gcc)."""
-        uf = cls(graph.n)
         decomposition = components(graph, mask)
         act = np.asarray(mask, dtype=bool)
-        uf.parent[act] = decomposition.component_id[act]
-        for comp_id, size in decomposition.sizes.items():
-            uf.size[comp_id] = size
-        return uf, decomposition.gcc_size
+        parent = np.arange(graph.n, dtype=np.int64)
+        parent[act] = decomposition.component_id[act]
+        size = np.ones(graph.n, dtype=np.int64)
+        if decomposition.sizes:
+            size[list(decomposition.sizes)] = list(decomposition.sizes.values())
+        return cls(parent.tolist(), size.tolist()), decomposition.gcc_size
 
 
 def replay_gcc_sizes(graph: Graph, order: np.ndarray, base_mask=None) -> tuple[np.ndarray, int]:
@@ -138,21 +200,21 @@ def replay_gcc_sizes(graph: Graph, order: np.ndarray, base_mask=None) -> tuple[n
     """
     base = full_mask(graph.n) if base_mask is None else np.asarray(base_mask, bool).copy()
     order = np.asarray(order, dtype=np.int64)
-    mask = base.copy()
-    mask[order] = False
-    uf, current = _UnionFind.over_components(graph, mask)
-    after = np.empty(len(order), dtype=np.int64)
-    for i in range(len(order) - 1, -1, -1):
+    base[order] = False
+    uf, current = _UnionFind.over_components(graph, base)
+    mask = base.tolist()
+    size = uf.size
+    nodes = order.tolist()
+    after = [0] * len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
         after[i] = current
-        v = int(order[i])
+        v = nodes[i]
         mask[v] = True
         current = max(current, 1)
-        for u in graph.neighbors(v):
-            u = int(u)
+        for u in graph.neighbors(v).tolist():
             if mask[u]:
-                root = uf.union(v, u)
-                current = max(current, int(uf.size[root]))
-    return after, current
+                current = max(current, size[uf.union(v, u)])
+    return np.array(after, dtype=np.int64), current
 
 
 def _build_solution(
@@ -161,25 +223,8 @@ def _build_solution(
     order: np.ndarray,
     metadata: SolutionMetadata,
 ) -> DismantlingSolution:
-    after, initial = replay_gcc_sizes(graph, order)
-    if initial != metadata.initial_gcc:
-        raise InternalInvariantError("replayed initial gcc disagrees with direct computation")
-    node_costs = costs.w[order] if len(order) else np.empty(0)
-    removal_order = [
-        (int(v), float(c), int(g)) for v, c, g in zip(order, node_costs, after)
-    ]
-    trajectory = [(0.0, int(initial))]
-    running = 0.0
-    for v, c, g in removal_order:
-        running += c
-        trajectory.append((running, g))
-    return DismantlingSolution(
-        removal_order=removal_order,
-        removed=frozenset(int(v) for v in order),
-        total_cost=float(node_costs.sum()),
-        trajectory=trajectory,
-        metadata=metadata,
-    )
+    order = np.asarray(order, dtype=np.int64)
+    return DismantlingSolution(graph, order, costs.w[order], metadata)
 
 
 def dismantle(
@@ -241,14 +286,11 @@ def dismantle(
         t0 = time.perf_counter()
         decomposition = components(graph, mask)
         phase["components"] += time.perf_counter() - t0
-    order = np.concatenate(batches) if batches else np.empty(0, dtype=np.int64)
-    t0 = time.perf_counter()
-    solution = _build_solution(graph, costs, order, metadata)
-    phase["replay"] += time.perf_counter() - t0
-    metadata.phase_seconds = phase
-    if solution.final_gcc > target.c:
+    if decomposition.gcc_size > target.c:
         raise InternalInvariantError("run ended above the target component size")
-    return solution
+    metadata.phase_seconds = phase
+    order = np.concatenate(batches) if batches else np.empty(0, dtype=np.int64)
+    return _build_solution(graph, costs, order, metadata)
 
 
 def reinsert(
@@ -269,21 +311,23 @@ def reinsert(
     seen infeasible once is infeasible forever.
     """
     t0 = time.perf_counter()
-    mask = full_mask(graph.n)
     removed = sorted(solution.removed)
-    mask[removed] = False
-    uf, _ = _UnionFind.over_components(graph, mask)
-    w = costs.w
+    base = full_mask(graph.n)
+    base[removed] = False
+    uf, _ = _UnionFind.over_components(graph, base)
+    mask = base.tolist()
+    size = uf.size
+    w = costs.w.tolist()
 
     def merged_size(v: int) -> int:
-        roots = {uf.find(int(u)) for u in graph.neighbors(v) if mask[u]}
-        return 1 + int(sum(uf.size[r] for r in roots))
+        roots = {uf.find(u) for u in graph.neighbors(v).tolist() if mask[u]}
+        return 1 + sum(size[r] for r in roots)
 
     heap = []
     for v in removed:
         s = merged_size(v)
         if s <= target.c:
-            heap.append((s, -float(w[v]), v))
+            heap.append((s, -w[v], v))
     heapq.heapify(heap)
     still_removed = set(removed)
     while heap:
@@ -296,25 +340,17 @@ def reinsert(
             continue
         mask[v] = True
         still_removed.discard(v)
-        for u in graph.neighbors(v):
+        for u in graph.neighbors(v).tolist():
             if mask[u]:
-                uf.union(v, int(u))
+                uf.union(v, u)
     reinsert_seconds = time.perf_counter() - t0
 
     order = np.array(
-        [v for v, _, _ in solution.removal_order if v in still_removed], dtype=np.int64
+        [v for v in solution._deletion_order() if v in still_removed], dtype=np.int64
     )
-    metadata = SolutionMetadata(
-        seed=solution.metadata.seed,
-        iter_multiplier=solution.metadata.iter_multiplier,
-        fine_tuning=solution.metadata.fine_tuning,
+    metadata = replace(
+        solution.metadata,
         reinserted=True,
-        cost_mode=solution.metadata.cost_mode,
-        target_c=solution.metadata.target_c,
-        prng=solution.metadata.prng,
-        initial_gcc=solution.metadata.initial_gcc,
-        bisections=solution.metadata.bisections,
-        power_iterations=solution.metadata.power_iterations,
         phase_seconds={**solution.metadata.phase_seconds, "reinsert": reinsert_seconds},
     )
     result = _build_solution(graph, costs, order, metadata)

@@ -142,7 +142,8 @@ def run_ensemble(
 ) -> EnsembleReport:
     """Run all K members and collect their results in index order."""
     report = EnsembleReport(config=config)
-    if config.workers == 1:
+    workers = min(config.workers, config.k)
+    if workers == 1:
         for index in range(config.k):
             try:
                 report.members.append(_run_member(graph, costs, target, config, index))
@@ -150,7 +151,7 @@ def run_ensemble(
                 raise EnsembleMemberError(index, exc) from exc
         return report
     with ProcessPoolExecutor(
-        max_workers=config.workers,
+        max_workers=workers,
         initializer=_init_worker,
         initargs=(graph, costs, target, config),
     ) as pool:

@@ -25,9 +25,16 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class _Rendered(str):
+    """JSON text already laid out for its place in the document."""
+
+
 def _emit(value: Any, out: list[str], indent: int, level: int) -> None:
     pad = " " * (indent * level)
     inner = " " * (indent * (level + 1))
+    if isinstance(value, _Rendered):
+        out.append(value)
+        return
     if isinstance(value, Enum):
         value = value.value
     if isinstance(value, dict):
@@ -74,7 +81,7 @@ def to_json(value: Any, indent: int = 2) -> str:
     return "".join(out)
 
 
-def solution_to_dict(solution: DismantlingSolution, reported_cost: float | int) -> dict:
+def _summary(solution: DismantlingSolution, reported_cost: float | int) -> dict:
     meta = solution.metadata
     return {
         "reported_cost": reported_cost,
@@ -93,6 +100,12 @@ def solution_to_dict(solution: DismantlingSolution, reported_cost: float | int) 
             "bisections": meta.bisections,
             "power_iterations": meta.power_iterations,
         },
+    }
+
+
+def solution_to_dict(solution: DismantlingSolution, reported_cost: float | int) -> dict:
+    return {
+        **_summary(solution, reported_cost),
         "removal_order": [
             {"node": node, "cost": cost, "gcc_after": gcc}
             for node, cost, gcc in solution.removal_order
@@ -101,7 +114,15 @@ def solution_to_dict(solution: DismantlingSolution, reported_cost: float | int) 
 
 
 def solution_json(solution: DismantlingSolution, reported_cost: float | int) -> str:
-    return to_json(solution_to_dict(solution, reported_cost))
+    """to_json(solution_to_dict(...)), with the removal_order rows, which
+    are nearly all of the file, written from one template per row."""
+    rows = ",\n".join(
+        f'    {{\n      "node": {node},\n      "cost": {format_float(cost)},\n'
+        f'      "gcc_after": {gcc}\n    }}'
+        for node, cost, gcc in solution.removal_order
+    )
+    removal_order = _Rendered(f"[\n{rows}\n  ]" if rows else "[]")
+    return to_json({**_summary(solution, reported_cost), "removal_order": removal_order})
 
 
 def trajectory_csv(trajectory: list[tuple[float, int]]) -> str:

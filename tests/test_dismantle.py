@@ -1,5 +1,8 @@
 """Outer loop, replay bookkeeping, reinsertion, and reported cost."""
 
+import importlib
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,9 +21,10 @@ from netdismantle import (
     replay_gcc_sizes,
 )
 from netdismantle.dismantle import SolutionMetadata, _build_solution
+from netdismantle.errors import InternalInvariantError
 from netdismantle.oracles import bfs_gcc_size, brute_force_min_dismantling
 
-from conftest import random_connected_graph, random_graph
+from conftest import load_bundled, random_connected_graph, random_graph
 
 
 def unit(g):
@@ -306,6 +310,84 @@ class TestReinsert:
         twice = reinsert(g, unit(g), target, once)
         assert once.removed == twice.removed
         assert once.total_cost == twice.total_cost
+
+
+class TestLazyReplay:
+    """The removal order is replayed once, on first read, and never twice."""
+
+    # pickle.dumps(..., protocol=4) of the sbm_600 degree-cost run at seed 5
+    # while dismantle still replayed eagerly: dismantle-only, reinserted
+    EAGER_PICKLE_BYTES = (13644, 12770)
+
+    @pytest.fixture
+    def replay_calls(self, monkeypatch):
+        module = importlib.import_module("netdismantle.dismantle")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return replay_gcc_sizes(*args, **kwargs)
+
+        monkeypatch.setattr(module, "replay_gcc_sizes", counted)
+        return calls
+
+    def test_dismantle_then_reinsert_replays_once(self, replay_calls):
+        g = random_connected_graph(4, 60)
+        target = DismantlingTarget.absolute(4)
+        sol = reinsert(g, unit(g), target, dismantle(g, unit(g), target, seed=1))
+        sol.removal_order, sol.trajectory, sol.final_gcc
+        assert len(replay_calls) == 1
+        assert sol.metadata.phase_seconds["replay"] > 0.0
+
+    def test_repeated_reads_replay_once(self, replay_calls):
+        g = random_connected_graph(4, 60)
+        sol = dismantle(g, unit(g), DismantlingTarget.absolute(4), seed=1)
+        assert replay_calls == []
+        assert sol.trajectory == sol.trajectory
+        assert len(replay_calls) == 1
+
+    def test_lazy_fields_equal_an_eager_replay(self):
+        g = random_connected_graph(8, 50)
+        costs = CostVector.degree(g)
+        sol = dismantle(g, costs, DismantlingTarget.absolute(3), seed=2)
+        order = np.array([v for v, _, _ in sol.removal_order])
+        after, initial = replay_gcc_sizes(g, order)
+        node_costs = costs.w[order].tolist()
+        assert sol.removal_order == list(zip(order.tolist(), node_costs, after.tolist()))
+        assert sol.trajectory == list(
+            zip(np.concatenate([[0.0], np.cumsum(node_costs)]).tolist(), [initial, *after.tolist()])
+        )
+
+    def test_wrong_initial_gcc_raises_on_read(self):
+        g = Graph.from_edges([(0, 1), (1, 2)])
+        metadata = SolutionMetadata(
+            seed=0,
+            iter_multiplier=1,
+            fine_tuning=True,
+            reinserted=False,
+            cost_mode="unit",
+            target_c=1,
+            initial_gcc=2,
+        )
+        sol = _build_solution(g, unit(g), np.array([1]), metadata)
+        with pytest.raises(InternalInvariantError):
+            sol.trajectory
+
+    def test_pickle_holds_no_graph_and_is_no_larger(self):
+        g = load_bundled("sbm_600.txt")
+        costs = CostVector.degree(g)
+        target = DismantlingTarget.from_fraction(g.n)
+        first = dismantle(g, costs, target, seed=5)
+        repaired = reinsert(g, costs, target, first)
+        for sol, eager_bytes in zip((first, repaired), self.EAGER_PICKLE_BYTES):
+            data = pickle.dumps(sol, protocol=4)
+            assert b"Graph" not in data and b"ndarray" not in data
+            assert len(data) <= eager_bytes
+            back = pickle.loads(data)
+            assert back.removal_order == sol.removal_order
+            assert back.trajectory == sol.trajectory
+            assert back.removed == sol.removed
+            assert back.total_cost == sol.total_cost
 
 
 class TestReportedCost:

@@ -1,5 +1,7 @@
 """Ensemble runs, best-member selection, and trajectory comparison."""
 
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from netdismantle import (
     run_ensemble,
     select_best,
 )
+from netdismantle import ensemble
 from netdismantle.ensemble import MemberResult, _best_index
 from netdismantle.errors import EnsembleMemberError
 
@@ -98,6 +101,40 @@ class TestRunEnsemble:
             assert a.seed == b.seed
             assert a.reported_cost == b.reported_cost
             assert a.solution.removal_order == b.solution.removal_order
+
+    def test_pool_never_outnumbers_members(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records the pool size and runs each task in this process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(ensemble, "_WORKER_CTX", None)
+        serial = run_ensemble(self.graph, self.costs, self.target, EnsembleConfig(k=2))
+        pooled = run_ensemble(
+            self.graph, self.costs, self.target, EnsembleConfig(k=2, workers=64)
+        )
+        assert sizes == [2]
+        assert [m.reported_cost for m in pooled.members] == [
+            m.reported_cost for m in serial.members
+        ]
+        run_ensemble(self.graph, self.costs, self.target, EnsembleConfig(k=1, workers=8))
+        assert sizes == [2]
 
     def test_cost_summary_spread(self):
         report = EnsembleReport(config=EnsembleConfig(k=3))

@@ -102,6 +102,12 @@ class TestSolutionJson:
         _, _, sol2 = self.make()
         assert solution_json(sol1, 5) == solution_json(sol2, 5)
 
+    def test_templated_rows_match_the_generic_emitter(self):
+        g, costs, sol = self.make()
+        empty = dismantle(g, costs, DismantlingTarget.absolute(g.n), seed=0)
+        for solution in (sol, empty):
+            assert solution_json(solution, 0.25) == to_json(solution_to_dict(solution, 0.25))
+
     def test_parses_as_json(self):
         g, costs, sol = self.make()
         parsed = json.loads(solution_json(sol, len(sol.removed)))
