@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of benchmark runs on one workload.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --workload rrg12k_unit --seeds 601-610 [--seconds 35] [--trace 0]
+
+For each seed this runs `benchmark/run.py` once in each checkout, the
+parent first on even pairs and the change first on odd ones, so a drift
+in host speed hits both sides alike.  It prints every run's metrics as
+it goes, then for each metric the median [q1, q3] per side and how many
+pairs the change won (ties count for neither side; the direction comes
+from the change's BENCHMARK.json), and per seed whether the two sides'
+outputs agree: the sha256 of solution.json and trajectory.csv and the
+reported cost.
+
+Exit codes: 0 when every seed's outputs agree and no op failed, 1 when
+outputs differ or an op failed, 2 when a run did not finish.  Each
+checkout keeps its own .bench_work/ and .bench_results/; nothing is
+written under benchmark/.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+class RunFailed(Exception):
+    pass
+
+
+def parse_seeds(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    seeds = list(range(int(first), int(last or first) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
+def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+    """One benchmark run; returns its (summary, result) lines."""
+    cmd = [
+        sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RunFailed(f"{checkout} seed {seed} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    *_, summary, result = proc.stdout.strip().splitlines()
+    return json.loads(summary), json.loads(result)
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def directions(checkout: Path) -> dict[str, str]:
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, type=parse_seeds, help="inclusive range A-B")
+    parser.add_argument("--seconds", type=float, default=35.0)
+    parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    better = directions(checkouts["change"])
+
+    values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
+    mismatched: list[int] = []
+    failed_ops = 0
+    for pair, seed in enumerate(args.seeds):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        outputs = {}
+        for side in order:
+            try:
+                summary, result = run_side(checkouts[side], args.workload, seed, args.seconds, args.trace)
+            except RunFailed as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            outputs[side] = summary["outputs"]
+            failed_ops += result["failed"]
+            metrics = {name: m["value"] for name, m in result["metrics"].items()}
+            for name, value in metrics.items():
+                values[side].setdefault(name, []).append(value)
+            print(json.dumps({"seed": seed, "side": side, "failed": result["failed"], "metrics": metrics}))
+        same = outputs["parent"] == outputs["change"]
+        if not same:
+            mismatched.append(seed)
+        digests = " ".join(
+            f"{o['solution_json_sha256'][:12]}/{o['trajectory_csv_sha256'][:12]}" for o in outputs["change"]
+        )
+        print(f"seed {seed}: {order[0]} first, outputs {'identical' if same else 'DIFFER'} ({digests})")
+
+    print(f"\n{args.workload}, {len(args.seeds)} pairs: metric  parent median [q1, q3]  ->  change median [q1, q3]  wins")
+    for name, parent in values["parent"].items():
+        change = values["change"][name]
+        sign = -1.0 if better.get(name) == "lower" else 1.0
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(parent), quartiles(change)
+        print(f"  {name}: {pm:.6g} [{pq1:.6g}, {pq3:.6g}] -> {cm:.6g} [{cq1:.6g}, {cq3:.6g}]  {wins}/{len(parent)}")
+    print(f"outputs identical on {len(args.seeds) - len(mismatched)}/{len(args.seeds)} seeds, failed ops {failed_ops}")
+    return 1 if mismatched or failed_ops else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,7 +27,6 @@ from .ensemble import (
     MemberResult,
     gcc_difference_histogram,
     run_ensemble,
-    select_best,
 )
 from .errors import (
     ComponentTooSmallError,
@@ -70,7 +69,6 @@ __all__ = [
     "MemberResult",
     "gcc_difference_histogram",
     "run_ensemble",
-    "select_best",
     "ComponentTooSmallError",
     "DegenerateSpectrumError",
     "EnsembleMemberError",

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .costs import CostMode, CostVector
 from .dismantle import DismantlingTarget, cost_of, dismantle, reinsert
-from .ensemble import EnsembleConfig, gcc_difference_histogram, run_ensemble, select_best
+from .ensemble import EnsembleConfig, gcc_difference_histogram, run_ensemble
 from .errors import InternalInvariantError, InvalidCostError, ParseError
 from .graph import Graph, parse_edge_list
 from .serialize import format_float, report_to_dict, solution_json, to_json, trajectory_csv
@@ -59,6 +59,10 @@ class RunSettings:
             raise _UsageError("give either --target-fraction or --target-size, not both")
         if self.target_fraction is None and self.target_size is None:
             self.target_fraction = 0.01
+        if self.target_size is not None and self.target_size < 1:
+            raise _UsageError("--target-size must be at least 1")
+        if self.target_fraction is not None and not 0.0 < self.target_fraction <= 1.0:
+            raise _UsageError("--target-fraction must be in (0, 1]")
         if self.ensemble < 1:
             raise _UsageError("--ensemble must be at least 1")
         if self.iter_multiplier < 1:
@@ -175,7 +179,7 @@ def cmd_dismantle(args: argparse.Namespace) -> int:
         workers=settings.workers,
     )
     report = run_ensemble(graph, costs, target, config)
-    best = select_best(report)
+    best = report.best.solution
     best_cost = report.best.reported_cost
     results = {
         "best_cost": best_cost,
@@ -391,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, ParseError, InvalidCostError, ValueError) as exc:
+    except (_UsageError, ParseError, InvalidCostError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

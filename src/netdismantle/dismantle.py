@@ -134,17 +134,17 @@ class DismantlingSolution:
 
     def __getstate__(self) -> dict:
         # the replayed fields under their public names: no graph or order
-        # array travels back from a pool worker
+        # array travels back from a pool worker, and removed is rebuilt
         return {
             "removal_order": self.removal_order,
-            "removed": self.removed,
             "total_cost": self.total_cost,
             "trajectory": self.trajectory,
             "metadata": self.metadata,
         }
 
     def __setstate__(self, state: dict) -> None:
-        self.removed = state["removed"]
+        # inserted in deletion order, as __init__ does, so it iterates alike
+        self.removed = frozenset(v for v, _, _ in state["removal_order"])
         self.total_cost = state["total_cost"]
         self.metadata = state["metadata"]
         self._pending = None
@@ -252,7 +252,9 @@ def dismantle(
         cost_mode=costs.mode.value,
         target_c=target.c,
     )
-    phase = {"components": 0.0, "spectral": 0.0, "cover": 0.0, "replay": 0.0}
+    # spectral encloses operator, power_iteration (with the sign split) and fine_tune
+    phase = dict.fromkeys(["components", "spectral", "operator", "power_iteration"], 0.0)
+    phase.update(fine_tune=0.0, cover=0.0, replay=0.0)
     t0 = time.perf_counter()
     decomposition = components(graph, mask)
     phase["components"] += time.perf_counter() - t0
@@ -265,12 +267,17 @@ def dismantle(
             partition = Partition(nodes=comp, in_m=np.array([True, False]))
         else:
             operator = build_operator(graph, mask, costs, comp)
+            t1 = time.perf_counter()
+            phase["operator"] += t1 - t0
             iterations = iteration_budget(len(comp), iter_multiplier)
             vector = approx_fiedler(operator, mix_seed(seed, metadata.bisections), iterations)
             metadata.power_iterations += iterations
             partition = sign_partition(vector)
+            t2 = time.perf_counter()
+            phase["power_iteration"] += t2 - t1
             if fine_tuning:
                 partition = fine_tune_partition(graph, mask, comp, partition)
+                phase["fine_tune"] += time.perf_counter() - t2
         phase["spectral"] += time.perf_counter() - t0
         t0 = time.perf_counter()
         cut = cut_edges(graph, mask, partition)

@@ -84,12 +84,6 @@ def _best_index(members: list[MemberResult]) -> int:
     return best
 
 
-def select_best(report: EnsembleReport) -> DismantlingSolution:
-    """Cheapest member's solution; ties go to the smaller final gcc, then
-    the smaller member index."""
-    return report.best.solution
-
-
 # worker processes get the shared inputs once via the initializer instead
 # of per task
 _WORKER_CTX: tuple | None = None

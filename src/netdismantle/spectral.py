@@ -7,7 +7,10 @@ eigenvector of the second-smallest eigenvalue of L.  That vector is
 approximated matrix-free: with the Gershgorin shift c = 2 max_u d_u the
 operator cI - L is positive semidefinite and its dominant eigenvector is
 the constant vector, so subtracting the mean every step deflates it and
-plain power iteration converges to the eigenvector we want.
+plain power iteration converges to the eigenvector we want.  Each step
+works in buffers allocated once per run and calls scipy's CSR matvec
+kernel directly, doing the same arithmetic in the same order as
+x - mean(x), scale * x + B x and a division by the norm would.
 
 A fixed iteration budget stands in for a convergence test on purpose:
 runs are then deterministic functions of (graph, costs, seed, budget),
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .costs import CostVector
 from .errors import ComponentTooSmallError, DegenerateSpectrumError, InvalidCostError
@@ -40,7 +44,8 @@ class WeightedLaplacianOperator:
     """Matrix-free cI - L over one component, in local coordinates.
 
     nodes holds the sorted global ids; position i of any vector refers to
-    nodes[i].  apply() costs one sparse matvec, O(edges in component).
+    nodes[i].  Applying it, scale * x + b x, costs one sparse matvec,
+    O(edges in component).
     """
 
     nodes: np.ndarray
@@ -52,9 +57,6 @@ class WeightedLaplacianOperator:
     @property
     def size(self) -> int:
         return len(self.nodes)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.scale * x + self.b.dot(x)
 
     def laplacian_matvec(self, x: np.ndarray) -> np.ndarray:
         return self.weighted_degree * x - self.b.dot(x)
@@ -82,18 +84,15 @@ def build_operator(
         raise InvalidCostError("component has all-zero costs, edge weights vanish")
     local = np.full(graph.n, -1, dtype=np.int64)
     local[nodes] = np.arange(k)
-    e = graph.edges
-    keep = (local[e[:, 0]] >= 0) & (local[e[:, 1]] >= 0)
-    eu = local[e[keep, 0]]
-    ev = local[e[keep, 1]]
-    bvals = w[e[keep, 0]] + w[e[keep, 1]]
-    b = sp.csr_matrix(
-        (
-            np.concatenate([bvals, bvals]),
-            (np.concatenate([eu, ev]), np.concatenate([ev, eu])),
-        ),
-        shape=(k, k),
-    )
+    # CSR rows are sorted and local ids rise with global ids, so keeping
+    # each row's in-component entries in order gives canonical CSR
+    flat_rows, nbrs = _adjacency_flat(graph, nodes)
+    cols = local[nbrs]
+    keep = cols >= 0
+    rows = flat_rows[keep]
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
+    b = sp.csr_matrix((w[nodes[rows]] + w[nbrs[keep]], cols[keep], indptr), shape=(k, k))
     weighted_degree = np.asarray(b.sum(axis=1)).ravel()
     shift = 2.0 * float(weighted_degree.max())
     return WeightedLaplacianOperator(
@@ -130,17 +129,24 @@ class SpectralVector:
     iterations: int
 
 
-def _power_iterate(op: WeightedLaplacianOperator, x: np.ndarray, iterations: int) -> np.ndarray:
+def _power_iterate(op: WeightedLaplacianOperator, x0: np.ndarray, iterations: int) -> np.ndarray:
+    b = op.b
+    k = op.size
+    x = x0.copy()
+    y = np.empty(k)
+    bx = np.empty(k)
     for _ in range(iterations):
-        x = x - x.mean()
-        norm = float(np.linalg.norm(x))
+        np.subtract(x, np.add.reduce(x) / k, out=x)
+        if math.sqrt(x.dot(x)) < _UNDERFLOW:
+            raise _UnderflowCollapse
+        bx.fill(0.0)  # the kernel adds into its output
+        csr_matvec(k, k, b.indptr, b.indices, b.data, x, bx)
+        np.multiply(op.scale, x, out=y)
+        np.add(y, bx, out=y)
+        norm = math.sqrt(y.dot(y))
         if norm < _UNDERFLOW:
             raise _UnderflowCollapse
-        x = op.apply(x)
-        norm = float(np.linalg.norm(x))
-        if norm < _UNDERFLOW:
-            raise _UnderflowCollapse
-        x = x / norm
+        np.divide(y, norm, out=x)
     # one final deflation so the result is exactly zero mean, unit norm
     x = x - x.mean()
     norm = float(np.linalg.norm(x))

@@ -28,7 +28,6 @@ from netdismantle import (
     gcc_difference_histogram,
     reinsert,
     run_ensemble,
-    select_best,
     sign_partition,
     weighted_vertex_cover,
 )

@@ -147,6 +147,25 @@ class TestErrors:
         assert code == 2
         assert "not both" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--target-size", "0", "--target-size must be at least 1"),
+            ("--target-fraction", "1.5", "--target-fraction must be in (0, 1]"),
+        ],
+    )
+    def test_bad_target_is_usage_error(self, path_graph, capsys, flag, value, message):
+        assert run(["bench", "--input", path_graph, flag, value]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_value_error_inside_the_solver_is_internal(self, path_graph, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("solver bug")
+
+        monkeypatch.setattr("netdismantle.cli.dismantle", broken)
+        assert run(["bench", "--input", path_graph, "--target-size", "1"]) == 3
+        assert "solver bug" in capsys.readouterr().err
+
     def test_parse_error_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1\n0\n")
@@ -303,7 +322,15 @@ class TestBenchCommand:
         bench = json.loads((out / "bench.json").read_text())
         printed = json.loads(capsys.readouterr().out)
         assert bench["graph"]["n"] == 12
-        assert set(bench["phase_seconds"]) >= {"components", "spectral", "cover", "replay"}
+        assert set(bench["phase_seconds"]) >= {
+            "components",
+            "spectral",
+            "operator",
+            "power_iteration",
+            "fine_tune",
+            "cover",
+            "replay",
+        }
         assert printed["removed_count"] == bench["removed_count"]
         assert bench["total_seconds"] >= 0.0
 

@@ -147,7 +147,15 @@ class TestDismantle:
         assert md.initial_gcc == 40
         assert md.bisections >= 1
         assert md.power_iterations > 0
-        assert set(md.phase_seconds) == {"components", "spectral", "cover", "replay"}
+        assert set(md.phase_seconds) == {
+            "components",
+            "spectral",
+            "operator",
+            "power_iteration",
+            "fine_tune",
+            "cover",
+            "replay",
+        }
 
     def test_trajectory_shape_and_monotonicity(self):
         for seed in range(4):

@@ -16,7 +16,6 @@ from netdismantle import (
     gcc_difference_histogram,
     reinsert,
     run_ensemble,
-    select_best,
 )
 from netdismantle import ensemble
 from netdismantle.ensemble import MemberResult, _best_index
@@ -69,7 +68,7 @@ class TestRunEnsemble:
         )
         assert len(report.members) == 1
         assert report.members[0].seed == 9
-        assert select_best(report).removal_order == lone.removal_order
+        assert report.best.solution.removal_order == lone.removal_order
         assert report.members[0].reported_cost == cost_of(lone, self.costs, self.graph)
 
     def test_member_seeds_are_consecutive(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from netdismantle import (
     Partition,
     approx_fiedler,
     build_operator,
+    components,
     fine_tune_partition,
     full_mask,
     iteration_budget,
@@ -20,9 +22,15 @@ from netdismantle import (
 )
 from netdismantle.errors import ComponentTooSmallError, DegenerateSpectrumError
 from netdismantle.oracles import dense_fiedler
-from netdismantle.spectral import SpectralVector
+from netdismantle.rng import initial_vector
+from netdismantle.spectral import (
+    _UNDERFLOW,
+    SpectralVector,
+    _power_iterate,
+    _UnderflowCollapse,
+)
 
-from conftest import fiedler_test_instances, random_connected_graph
+from conftest import BUNDLED, fiedler_test_instances, load_bundled, random_connected_graph
 
 
 def unit(g):
@@ -150,6 +158,113 @@ class TestApproxFiedler:
             _, exact = dense_fiedler(g, full_mask(g.n), unit(g), np.arange(g.n))
             agreement = np.sign(v.values) == np.sign(exact)
             assert agreement.all() or (~agreement).all()
+
+
+def reference_b(graph, costs, nodes):
+    """The weighted adjacency as the operator built it from the global
+    edge list through COO, kept as the reference for the CSR-row build."""
+    k = len(nodes)
+    w = costs.w
+    local = np.full(graph.n, -1, dtype=np.int64)
+    local[nodes] = np.arange(k)
+    e = graph.edges
+    keep = (local[e[:, 0]] >= 0) & (local[e[:, 1]] >= 0)
+    eu = local[e[keep, 0]]
+    ev = local[e[keep, 1]]
+    bvals = w[e[keep, 0]] + w[e[keep, 1]]
+    return sp.csr_matrix(
+        (
+            np.concatenate([bvals, bvals]),
+            (np.concatenate([eu, ev]), np.concatenate([ev, eu])),
+        ),
+        shape=(k, k),
+    )
+
+
+def reference_power_iterate(op, x, iterations):
+    """The power iteration on fresh temporaries and scipy's dot, kept as
+    the reference for the buffered loop."""
+    for _ in range(iterations):
+        x = x - x.mean()
+        norm = float(np.linalg.norm(x))
+        if norm < _UNDERFLOW:
+            raise _UnderflowCollapse
+        x = op.scale * x + op.b.dot(x)
+        norm = float(np.linalg.norm(x))
+        if norm < _UNDERFLOW:
+            raise _UnderflowCollapse
+        x = x / norm
+    x = x - x.mean()
+    norm = float(np.linalg.norm(x))
+    if norm < _UNDERFLOW:
+        raise _UnderflowCollapse
+    return x / norm
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except _UnderflowCollapse:
+        return "collapse"
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_hot_path_matches_reference(graph, mask, costs, comp, seed):
+    op = build_operator(graph, mask, costs, comp)
+    want = reference_b(graph, costs, op.nodes)
+    for name in ("indptr", "indices", "data"):
+        assert_same_bytes(getattr(op.b, name), getattr(want, name))
+    for budget in (1, 7, iteration_budget(op.size)):
+        x0 = initial_vector(seed, op.size)
+        start = x0.copy()
+        got = outcome(_power_iterate, op, x0, budget)
+        assert_same_bytes(x0, start)
+        expected = outcome(reference_power_iterate, op, start, budget)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert_same_bytes(got, expected)
+
+
+class TestHotPathReference:
+    """The CSR-row operator build and the buffered power iteration give
+    the same bytes as the reference implementations above."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("mode", ["unit", "degree"])
+    def test_bundled_largest_component(self, name, mode):
+        graph = load_bundled(name)
+        mask = full_mask(graph.n)
+        decomposition = components(graph, mask)
+        comp = decomposition.members(decomposition.gcc_id)
+        costs = CostVector.for_mode(graph, mode)
+        assert_hot_path_matches_reference(graph, mask, costs, comp, seed=graph.n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 5_000),
+        n=st.integers(3, 40),
+        removed=st.floats(0.0, 0.4),
+        mode=st.sampled_from(["unit", "degree"]),
+    )
+    def test_masked_random_components(self, seed, n, removed, mode):
+        # removing nodes leaves neighbors outside the component, which the
+        # build has to filter out
+        graph = random_connected_graph(seed, n)
+        rng = np.random.default_rng(seed)
+        mask = rng.random(n) >= removed
+        decomposition = components(graph, mask)
+        if decomposition.gcc_size < 2:
+            mask = full_mask(n)
+            decomposition = components(graph, mask)
+        comp = decomposition.members(decomposition.gcc_id)
+        costs = CostVector.for_mode(graph, mode)
+        assert_hot_path_matches_reference(graph, mask, costs, comp, seed=seed)
 
 
 class TestSignPartition:
