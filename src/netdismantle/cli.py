@@ -318,7 +318,9 @@ def _histogram_csv(hist) -> str:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args)
+    started = time.perf_counter()
     graph = _load_graph(settings.input)
+    parse_seconds = time.perf_counter() - started
     costs = CostVector.for_mode(graph, settings.cost)
     target = settings.target_for(graph)
     started = time.perf_counter()
@@ -342,6 +344,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "power_iterations": solution.metadata.power_iterations,
         "removed_count": len(solution.removed),
         "reported_cost": cost_of(solution, costs, graph),
+        "parse_seconds": parse_seconds,
         "total_seconds": elapsed,
         "phase_seconds": solution.metadata.phase_seconds,
     }

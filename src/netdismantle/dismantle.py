@@ -21,11 +21,12 @@ import numpy as np
 
 from .costs import CostMode, CostVector
 from .errors import InternalInvariantError
-from .graph import Graph, components, full_mask
+from .graph import Graph, _run_starts, components, full_mask
 from .cover import cut_edges, prune_redundant, weighted_vertex_cover
 from .rng import PRNG_NAME, mix_seed
 from .spectral import (
     Partition,
+    _adjacency_flat,
     approx_fiedler,
     build_operator,
     fine_tune_partition,
@@ -190,6 +191,24 @@ class _UnionFind:
         return cls(parent.tolist(), size.tolist()), decomposition.gcc_size
 
 
+def _roots_around(
+    graph: Graph, removed: np.ndarray, base: np.ndarray, uf: _UnionFind
+) -> tuple[list[int], dict[int, list[int]]]:
+    """For each removed node, in one pass over the removed nodes' rows:
+    the size of the component its return would form, and the distinct
+    component ids around it.  uf must hold the active nodes' components
+    as flat stars, so a component id is its root."""
+    rows, nbrs = _adjacency_flat(graph, removed)
+    active = base[nbrs]
+    key = np.sort(rows[active] * graph.n + np.asarray(uf.parent)[nbrs[active]])
+    owner, root = np.divmod(key[_run_starts(key)], graph.n)
+    merged = 1 + np.bincount(owner, minlength=len(removed), weights=np.asarray(uf.size)[root])
+    bounds = np.searchsorted(owner, np.arange(len(removed) + 1)).tolist()
+    flat = root.tolist()
+    roots = {v: flat[a:b] for v, a, b in zip(removed.tolist(), bounds, bounds[1:])}
+    return merged.astype(np.int64).tolist(), roots
+
+
 def replay_gcc_sizes(graph: Graph, order: np.ndarray, base_mask=None) -> tuple[np.ndarray, int]:
     """Largest-component size after each removal prefix of order.
 
@@ -315,41 +334,44 @@ def reinsert(
     grows the components around a waiting node, so each node's merged
     size can only grow; a lazy heap over stale sizes therefore finds the
     true minimum by re-evaluating only the popped candidate, and a node
-    seen infeasible once is infeasible forever.
+    seen infeasible once is infeasible forever.  Each waiting node keeps
+    a list of nodes in the components around it, seeded with one
+    component id each in one pass over the removed nodes' rows and
+    extended whenever a neighbour returns, so a re-evaluation never
+    rescans a row.
     """
     t0 = time.perf_counter()
-    removed = sorted(solution.removed)
+    removed = np.array(sorted(solution.removed), dtype=np.int64)
     base = full_mask(graph.n)
     base[removed] = False
     uf, _ = _UnionFind.over_components(graph, base)
-    mask = base.tolist()
     size = uf.size
     w = costs.w.tolist()
-
-    def merged_size(v: int) -> int:
-        roots = {uf.find(u) for u in graph.neighbors(v).tolist() if mask[u]}
-        return 1 + sum(size[r] for r in roots)
-
-    heap = []
-    for v in removed:
-        s = merged_size(v)
-        if s <= target.c:
-            heap.append((s, -w[v], v))
+    nodes = removed.tolist()
+    merged, roots = _roots_around(graph, removed, base, uf)
+    parent = uf.parent
+    heap = [(s, -w[v], v) for s, v in zip(merged, nodes) if s <= target.c]
     heapq.heapify(heap)
-    still_removed = set(removed)
+    still_removed = set(nodes)
     while heap:
         s, neg_w, v = heapq.heappop(heap)
-        s_now = merged_size(v)
+        current = {uf.find(r) for r in roots[v]}
+        s_now = 1 + sum(map(size.__getitem__, current))
         if s_now > target.c:
             continue
         if s_now > s:
             heapq.heappush(heap, (s_now, neg_w, v))
             continue
-        mask[v] = True
         still_removed.discard(v)
+        # v and the distinct roots around it join under the largest root
+        top = max(current, key=size.__getitem__, default=v)
+        parent[v] = top
+        for r in current:
+            parent[r] = top
+        size[top] = s_now
         for u in graph.neighbors(v).tolist():
-            if mask[u]:
-                uf.union(v, u)
+            if u in still_removed:
+                roots[u].append(v)
     reinsert_seconds = time.perf_counter() - t0
 
     order = np.array(

@@ -13,6 +13,7 @@ from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse.csgraph import connected_components as _sp_components
 
 from .errors import ParseError
@@ -69,14 +70,13 @@ class Graph:
         """Build from integer pairs; drops self-loops and duplicates."""
         arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
         arr = arr.reshape(-1, 2)
-        if len(arr) and arr.min() < 0:
+        lo = np.minimum(arr[:, 0], arr[:, 1])
+        hi = np.maximum(arr[:, 0], arr[:, 1])
+        if len(lo) and lo.min() < 0:
             raise ValueError("node ids must be nonnegative")
-        if len(arr):
-            lo = arr.min(axis=1)
-            hi = arr.max(axis=1)
-            keep = lo != hi
-            arr = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
-        n_seen = int(arr.max()) + 1 if len(arr) else 0
+        keep = lo != hi
+        lo, hi = lo[keep], hi[keep]
+        n_seen = int(hi.max()) + 1 if len(hi) else 0
         if n is None:
             n = n_seen
         elif n < n_seen:
@@ -87,19 +87,113 @@ class Graph:
             labels = tuple(labels)
             if len(labels) != n:
                 raise ValueError("labels length must equal n")
-        src = np.concatenate([arr[:, 0], arr[:, 1]]) if len(arr) else np.empty(0, np.int64)
-        dst = np.concatenate([arr[:, 1], arr[:, 0]]) if len(arr) else np.empty(0, np.int64)
-        order = np.lexsort((dst, src))
-        indices = dst[order]
-        counts = np.bincount(src, minlength=n) if len(arr) else np.zeros(n, np.int64)
+        # one int64 key per pair, lo * base + hi, sorts as (lo, hi) does;
+        # the keys of both directions, sorted, are the CSR rows in order
+        base = max(n_seen, 1)
+        key = np.sort(lo * base + hi)
+        key = key[_run_starts(key)]
+        lo, hi = np.divmod(key, base)
+        both = np.concatenate([key, hi * base + lo])
+        both.sort()
+        indices = both % base
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        id_map = {lab: i for i, lab in enumerate(labels)}
-        return cls(n=n, edges=arr, indptr=indptr, indices=indices, labels=labels, id_map=id_map)
+        np.cumsum(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n), out=indptr[1:])
+        id_map = dict(zip(labels, range(n)))
+        edges = np.stack([lo, hi], axis=1)
+        return cls(n=n, edges=edges, indptr=indptr, indices=indices, labels=labels, id_map=id_map)
 
 
 def full_mask(n: int) -> NodeMask:
     return np.ones(n, dtype=bool)
+
+
+def _is_break(char: str) -> bool:
+    return ("x" + char + "x").splitlines() == ["x", "x"]
+
+
+# indexed by code point: what str.split() and str.splitlines() split on
+_ASCII_SPACE = np.array([chr(c).isspace() for c in range(128)])
+_ASCII_BREAK = np.array([_is_break(chr(c)) for c in range(128)])
+
+
+def _char_classes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(is whitespace, is line break) for every code point of a text."""
+    if codes.dtype == np.uint8:
+        return _ASCII_SPACE[codes], _ASCII_BREAK[codes]
+    present = np.unique(codes)
+    chars = [chr(c) for c in present.tolist()]
+    space = present[[c.isspace() for c in chars]]
+    breaks = present[[_is_break(c) for c in chars]]
+    return np.isin(codes, space), np.isin(codes, breaks)
+
+
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries that differ from their predecessor."""
+    starts = np.ones(len(sorted_keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    return starts
+
+
+def _intern(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids in order of first appearance for the tokens codes[s : s + l].
+
+    Returns (the id of every token, the index of each id's first token).
+    Tokens are compared one length at a time, so zero-padding a short
+    token to an 8-byte key cannot make "a" equal "a\x00".  Equal keys
+    are grouped by an unstable argsort; each group's first token is its
+    smallest index.
+    """
+    by_length = np.argsort(lengths)
+    code = np.empty(len(starts), dtype=np.int64)
+    firsts = []
+    count = 0
+    for group in np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1):
+        width = int(lengths[group[0]])
+        rows = sliding_window_view(codes, width)[starts[group]]
+        if width * codes.itemsize <= 8:
+            keys = np.zeros((len(group), 8 // codes.itemsize), dtype=codes.dtype)
+            keys[:, :width] = rows
+            keys = keys.view(np.uint64).ravel()
+        else:
+            keys = rows.view(f"S{width * codes.itemsize}").ravel()
+        perm = np.argsort(keys)
+        group = group[perm]
+        new = _run_starts(keys[perm])
+        code[group] = np.cumsum(new) + (count - 1)
+        firsts.append(np.minimum.reduceat(group, np.flatnonzero(new)))
+        count += len(firsts[-1])
+    first = np.concatenate(firsts)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[code], first[order]
+
+
+def _edge_tokens(codes: np.ndarray, breaks: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of the first two tokens of every line that is
+    neither blank nor a comment, in text order.  breaks holds the line
+    break positions, or None to find them as str.splitlines() would."""
+    space, is_break = _char_classes(codes)
+    if breaks is None:
+        # "\r\n" is one break
+        is_break[1:] &= (codes[1:] != 10) | (codes[:-1] != 13)
+        breaks = np.flatnonzero(is_break)
+    word = np.zeros(len(codes) + 2, dtype=bool)
+    np.logical_not(space, out=word[1:-1])
+    # with a blank on both sides, word runs begin and end alternately
+    bounds = np.flatnonzero(word[1:] != word[:-1])
+    starts, ends = bounds[0::2], bounds[1::2]
+    line = np.searchsorted(breaks, starts)
+    first = np.ones(len(line) + 1, dtype=bool)
+    np.not_equal(line[1:], line[:-1], out=first[1:-1])
+    heads = np.flatnonzero(first[:-1])
+    comment = np.isin(codes[starts[heads]], [ord("%"), ord("#")])
+    short = heads[~comment & first[heads + 1]]
+    if len(short):
+        raise ParseError("expected at least two tokens", line_number=int(line[short[0]]) + 1)
+    kept = np.repeat(heads[~comment], 2)
+    kept[1::2] += 1
+    return starts[kept], ends[kept] - starts[kept]
 
 
 def parse_edge_list(text: str | Iterable[str]) -> Graph:
@@ -110,36 +204,35 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
     Self-loops and repeated edges are dropped silently.  A line with fewer
     than two tokens, or an input with no surviving edges, is an error.
     Extra tokens after the first two (weights, timestamps) are ignored.
+
+    Tokens split as str.split() does.  A string breaks into lines as
+    str.splitlines() does; a sequence of strings is one line per element.
+    The text is scanned as one array of code points, one byte each when
+    it is ASCII; only per-token arrays are int64.
     """
-    lines = text.splitlines() if isinstance(text, str) else text
-    id_map: dict[str, int] = {}
-    labels: list[str] = []
-    edge_set: set[tuple[int, int]] = set()
-
-    def intern(token: str) -> int:
-        i = id_map.get(token)
-        if i is None:
-            i = len(labels)
-            id_map[token] = i
-            labels.append(token)
-        return i
-
-    for line_number, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("%") or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) < 2:
-            raise ParseError("expected at least two tokens", line_number=line_number)
-        u = intern(tokens[0])
-        v = intern(tokens[1])
-        if u == v:
-            continue
-        edge_set.add((u, v) if u < v else (v, u))
-    if not edge_set:
+    breaks = None
+    if not isinstance(text, str):
+        lines = list(text)
+        text = "\n".join(lines)
+        # only the joining newlines break lines; a newline inside an
+        # element is plain whitespace
+        lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+        breaks = np.cumsum(lengths[:-1] + 1) - 1
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    else:
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    starts, lengths = _edge_tokens(codes, breaks)
+    if not len(starts):
         raise ParseError("no edges in input")
-    edges = np.array(sorted(edge_set), dtype=np.int64)
-    return Graph.from_edges(edges, n=len(labels), labels=labels)
+    ids, first = _intern(codes, starts, lengths)
+    pairs = ids.reshape(-1, 2)
+    if not (pairs[:, 0] != pairs[:, 1]).any():
+        raise ParseError("no edges in input")
+    label_starts = starts[first]
+    spans = zip(label_starts.tolist(), (label_starts + lengths[first]).tolist())
+    labels = [text[s:e] for s, e in spans]
+    return Graph.from_edges(pairs, n=len(labels), labels=labels)
 
 
 @dataclass(frozen=True)

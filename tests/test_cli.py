@@ -333,6 +333,8 @@ class TestBenchCommand:
         }
         assert printed["removed_count"] == bench["removed_count"]
         assert bench["total_seconds"] >= 0.0
+        assert bench["parse_seconds"] >= 0.0
+        assert "parse" not in bench["phase_seconds"]
 
 
 class TestStatsCommand:

@@ -1,7 +1,10 @@
 """Outer loop, replay bookkeeping, reinsertion, and reported cost."""
 
+import heapq
 import importlib
 import pickle
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,11 +23,11 @@ from netdismantle import (
     reinsert,
     replay_gcc_sizes,
 )
-from netdismantle.dismantle import SolutionMetadata, _build_solution
+from netdismantle.dismantle import SolutionMetadata, _build_solution, _UnionFind
 from netdismantle.errors import InternalInvariantError
 from netdismantle.oracles import bfs_gcc_size, brute_force_min_dismantling
 
-from conftest import load_bundled, random_connected_graph, random_graph
+from conftest import BUNDLED, load_bundled, random_connected_graph, random_graph
 
 
 def unit(g):
@@ -318,6 +321,109 @@ class TestReinsert:
         twice = reinsert(g, unit(g), target, once)
         assert once.removed == twice.removed
         assert once.total_cost == twice.total_cost
+
+
+def reference_reinsert(graph, costs, target, solution):
+    """The reinsert that rescanned each popped node's CSR row."""
+    t0 = time.perf_counter()
+    removed = sorted(solution.removed)
+    base = full_mask(graph.n)
+    base[removed] = False
+    uf, _ = _UnionFind.over_components(graph, base)
+    mask = base.tolist()
+    size = uf.size
+    w = costs.w.tolist()
+
+    def merged_size(v: int) -> int:
+        roots = {uf.find(u) for u in graph.neighbors(v).tolist() if mask[u]}
+        return 1 + sum(size[r] for r in roots)
+
+    heap = []
+    for v in removed:
+        s = merged_size(v)
+        if s <= target.c:
+            heap.append((s, -w[v], v))
+    heapq.heapify(heap)
+    still_removed = set(removed)
+    while heap:
+        s, neg_w, v = heapq.heappop(heap)
+        s_now = merged_size(v)
+        if s_now > target.c:
+            continue
+        if s_now > s:
+            heapq.heappush(heap, (s_now, neg_w, v))
+            continue
+        mask[v] = True
+        still_removed.discard(v)
+        for u in graph.neighbors(v).tolist():
+            if mask[u]:
+                uf.union(v, u)
+    reinsert_seconds = time.perf_counter() - t0
+
+    order = np.array(
+        [v for v in solution._deletion_order() if v in still_removed], dtype=np.int64
+    )
+    metadata = replace(
+        solution.metadata,
+        reinserted=True,
+        phase_seconds={**solution.metadata.phase_seconds, "reinsert": reinsert_seconds},
+    )
+    result = _build_solution(graph, costs, order, metadata)
+    if result.total_cost > solution.total_cost + 1e-9:
+        raise InternalInvariantError("reinsertion increased total cost")
+    if result.final_gcc > target.c:
+        raise InternalInvariantError("reinsertion broke the target constraint")
+    return result
+
+
+def assert_same_reinsertion(graph, costs, target, solution):
+    mine = reinsert(graph, costs, target, solution)
+    ref = reference_reinsert(graph, costs, target, solution)
+    assert mine.removal_order == ref.removal_order
+    assert mine.trajectory == ref.trajectory
+    assert mine.total_cost == ref.total_cost
+
+
+class TestReinsertReference:
+    """reinsert seeds its merged sizes in one pass and then keeps the
+    roots around each waiting node; the old row-rescanning loop is the
+    oracle."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("mode", ["unit", "degree"])
+    def test_bundled(self, name, mode):
+        g = load_bundled(name)
+        costs = CostVector.for_mode(g, mode)
+        for fraction in (0.01, 0.1):
+            target = DismantlingTarget.from_fraction(g.n, fraction)
+            assert_same_reinsertion(g, costs, target, dismantle(g, costs, target, seed=3))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 60),
+        p=st.floats(0.02, 0.3),
+        share=st.floats(0.0, 1.0),
+        c=st.integers(1, 12),
+        degree=st.booleans(),
+    )
+    def test_drawn_removal_sets(self, seed, n, p, share, c, degree):
+        g = random_graph(seed, n, p)
+        costs = CostVector.degree(g) if degree else unit(g)
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(n)[: int(share * n)]
+        c = max(c, bfs_gcc_size(g, mask_without(g, order.tolist())))
+        metadata = SolutionMetadata(
+            seed=0,
+            iter_multiplier=1,
+            fine_tuning=True,
+            reinserted=False,
+            cost_mode=costs.mode.value,
+            target_c=c,
+            initial_gcc=bfs_gcc_size(g, full_mask(n)),
+        )
+        handmade = _build_solution(g, costs, order, metadata)
+        assert_same_reinsertion(g, costs, DismantlingTarget.absolute(c), handmade)
 
 
 class TestLazyReplay:

@@ -1,5 +1,7 @@
 """Parsing, component decomposition, and mask bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from netdismantle import (
 )
 from netdismantle.oracles import bfs_components
 
-from conftest import random_graph
+from conftest import BUNDLED, DATA_DIR, random_graph
 
 
 class TestParsing:
@@ -64,6 +66,206 @@ class TestParsing:
         e = g.edges
         assert (e[:, 0] < e[:, 1]).all()
         assert (np.diff(e[:, 0]) >= 0).all()
+
+
+def reference_from_edges(edges, n=None, labels=None):
+    """The per-pair Graph.from_edges body the single-key build replaced."""
+    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
+    arr = arr.reshape(-1, 2)
+    if len(arr) and arr.min() < 0:
+        raise ValueError("node ids must be nonnegative")
+    if len(arr):
+        lo = arr.min(axis=1)
+        hi = arr.max(axis=1)
+        keep = lo != hi
+        arr = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
+    n_seen = int(arr.max()) + 1 if len(arr) else 0
+    if n is None:
+        n = n_seen
+    elif n < n_seen:
+        raise ValueError(f"n={n} too small for edge ids up to {n_seen - 1}")
+    if labels is None:
+        labels = tuple(str(i) for i in range(n))
+    else:
+        labels = tuple(labels)
+        if len(labels) != n:
+            raise ValueError("labels length must equal n")
+    src = np.concatenate([arr[:, 0], arr[:, 1]]) if len(arr) else np.empty(0, np.int64)
+    dst = np.concatenate([arr[:, 1], arr[:, 0]]) if len(arr) else np.empty(0, np.int64)
+    order = np.lexsort((dst, src))
+    indices = dst[order]
+    counts = np.bincount(src, minlength=n) if len(arr) else np.zeros(n, np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    id_map = {lab: i for i, lab in enumerate(labels)}
+    return Graph(n=n, edges=arr, indptr=indptr, indices=indices, labels=labels, id_map=id_map)
+
+
+def reference_parse(text):
+    """The per-line parser the vectorized pass replaced."""
+    lines = text.splitlines() if isinstance(text, str) else text
+    id_map: dict[str, int] = {}
+    labels: list[str] = []
+    edge_set: set[tuple[int, int]] = set()
+
+    def intern(token: str) -> int:
+        i = id_map.get(token)
+        if i is None:
+            i = len(labels)
+            id_map[token] = i
+            labels.append(token)
+        return i
+
+    for line_number, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("%") or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) < 2:
+            raise ParseError("expected at least two tokens", line_number=line_number)
+        u = intern(tokens[0])
+        v = intern(tokens[1])
+        if u == v:
+            continue
+        edge_set.add((u, v) if u < v else (v, u))
+    if not edge_set:
+        raise ParseError("no edges in input")
+    edges = np.array(sorted(edge_set), dtype=np.int64)
+    return reference_from_edges(edges, n=len(labels), labels=labels)
+
+
+def assert_same_graph(mine, ref):
+    assert mine.n == ref.n
+    assert mine.labels == ref.labels
+    assert mine.id_map == ref.id_map
+    for name in ("edges", "indptr", "indices"):
+        a, b = getattr(mine, name), getattr(ref, name)
+        assert a.dtype == b.dtype, name
+        assert a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+def outcome(parse, text):
+    """The parsed graph, or the ParseError's (message, line number)."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return str(err), err.line_number
+
+
+def assert_same_outcome(text, feed=lambda text: text):
+    mine, ref = outcome(parse_edge_list, feed(text)), outcome(reference_parse, feed(text))
+    if isinstance(ref, Graph):
+        assert isinstance(mine, Graph), mine
+        assert_same_graph(mine, ref)
+    else:
+        assert mine == ref
+
+
+TOKENS = [
+    "a", "b", "c", "0", "1", "10", "01", "a\x00", "\x00", "\x00a", "%c", "#d",
+    "abcdefg1", "abcdefg2", "é", "ü1", "ü2", "𝔘", "x" * 9, "y" * 12 + "é",
+    "node_with_a_long_label",
+]
+BLANKS = [" ", "\t", "  ", " \t", "\x1f", "\xa0", "\u3000"]
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def edge_lines(draw, breaks=True):
+    """Lines of an edge list: mostly edges, some with extra tokens, some
+    comments (also indented), blank or one-token lines."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 19))
+        low, high = (0, 1) if kind == 0 else (2, 4)
+        tokens = draw(st.lists(st.sampled_from(TOKENS), min_size=low, max_size=high))
+        if kind == 1 and len(tokens) > 1:
+            tokens[1] = tokens[0]
+        blank = draw(st.sampled_from(BLANKS))
+        line = blank.join(tokens)
+        if kind == 2:
+            line = draw(st.sampled_from(["%", "#", "% ", "#\t"])) + line
+        if draw(st.booleans()):
+            line = draw(st.sampled_from(BLANKS)) + line
+        if draw(st.booleans()):
+            line += draw(st.sampled_from(BLANKS))
+        if breaks:
+            line += draw(st.sampled_from(BREAKS))
+        lines.append(line)
+    return lines
+
+
+class TestParserReference:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_files(self, name):
+        text = (DATA_DIR / name).read_text()
+        assert_same_graph(parse_edge_list(text), reference_parse(text))
+        lines = text.splitlines(keepends=True)
+        assert_same_graph(parse_edge_list(lines), reference_parse(lines))
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=edge_lines())
+    def test_drawn_texts(self, lines):
+        assert_same_outcome("".join(lines))
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(alphabet="ab01%# \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000\x00é", max_size=60))
+    def test_drawn_characters(self, text):
+        assert_same_outcome(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=edge_lines(breaks=False), ends=st.lists(st.sampled_from(["", "\n", "\r\n", " \n"])))
+    def test_drawn_line_lists(self, lines, ends):
+        lines = [line + (ends[i] if i < len(ends) else "") for i, line in enumerate(lines)]
+        assert_same_outcome(lines)
+        assert_same_outcome(lines, feed=iter)
+
+    def test_nul_suffix_tokens_stay_apart(self):
+        g = parse_edge_list("a a\x00\na\x00\x00 a\n")
+        assert g.labels == ("a", "a\x00", "a\x00\x00")
+        assert g.m == 2
+
+    def test_list_elements_number_lines(self):
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(["a b\n", "c d\ne\n", "f\n"])
+        assert err.value.line_number == 3
+
+    def test_crlf_is_one_break(self):
+        with pytest.raises(ParseError) as err:
+            parse_edge_list("a b\r\nc d\r\r\ne\n")
+        assert err.value.line_number == 4
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[], [(3, 3)], [(0, 1)], [(2, 1), (1, 2), (0, 0), (4, 2)], np.zeros((0, 2), np.int64)],
+    )
+    def test_from_edges_small(self, edges):
+        assert_same_graph(Graph.from_edges(edges), reference_from_edges(edges))
+        assert_same_graph(Graph.from_edges(edges, n=6), reference_from_edges(edges, n=6))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 60), m=st.integers(0, 200))
+    def test_from_edges_drawn(self, seed, n, m):
+        pairs = np.random.default_rng(seed).integers(0, n, size=(m, 2))
+        assert_same_graph(Graph.from_edges(pairs), reference_from_edges(pairs))
+        assert_same_graph(Graph.from_edges(pairs, n=n), reference_from_edges(pairs, n=n))
+
+
+def _traced_peak(parse, text):
+    tracemalloc.start()
+    try:
+        parse(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_peak_memory_no_larger_than_reference():
+    # about 100k edges over 20k nodes, as a benchmark input file is written
+    pairs = np.random.default_rng(5).integers(0, 20_000, size=(100_000, 2))
+    text = "% drawn\n" + "".join(f"{u} {v}\n" for u, v in pairs.tolist())
+    assert _traced_peak(parse_edge_list, text) <= _traced_peak(reference_parse, text)
 
 
 class TestGraphShape:
