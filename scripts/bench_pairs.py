@@ -11,7 +11,9 @@ it goes, then for each metric the median [q1, q3] per side and how many
 pairs the change won (ties count for neither side; the direction comes
 from the change's BENCHMARK.json), and per seed whether the two sides'
 outputs agree: the sha256 of solution.json and trajectory.csv and the
-reported cost.
+reported cost.  The same numbers go to BENCH_<workload>.json in the
+change checkout (BENCH_<workload>_trace.json with --trace 1), next to
+the environment (CPU, library versions, src/ lines) of the change's last run.
 
 Exit codes: 0 when every seed's outputs agree and no op failed, 1 when
 outputs differ or an op failed, 2 when a run did not finish.  Each
@@ -80,7 +82,9 @@ def main(argv: list[str] | None = None) -> int:
 
     values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
     mismatched: list[int] = []
+    agreement: list[dict] = []
     failed_ops = 0
+    environment = None
     for pair, seed in enumerate(args.seeds):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         outputs = {}
@@ -91,6 +95,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
             outputs[side] = summary["outputs"]
+            if side == "change":
+                environment = json.loads((checkouts[side] / summary["record"]).read_text()).get("environment")
             failed_ops += result["failed"]
             metrics = {name: m["value"] for name, m in result["metrics"].items()}
             for name, value in metrics.items():
@@ -99,19 +105,44 @@ def main(argv: list[str] | None = None) -> int:
         same = outputs["parent"] == outputs["change"]
         if not same:
             mismatched.append(seed)
+        agreement.append({"seed": seed, "first": order[0], "identical": same, "outputs": outputs})
         digests = " ".join(
             f"{o['solution_json_sha256'][:12]}/{o['trajectory_csv_sha256'][:12]}" for o in outputs["change"]
         )
         print(f"seed {seed}: {order[0]} first, outputs {'identical' if same else 'DIFFER'} ({digests})")
 
     print(f"\n{args.workload}, {len(args.seeds)} pairs: metric  parent median [q1, q3]  ->  change median [q1, q3]  wins")
+    metrics = {}
     for name, parent in values["parent"].items():
         change = values["change"][name]
         sign = -1.0 if better.get(name) == "lower" else 1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
         (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(parent), quartiles(change)
         print(f"  {name}: {pm:.6g} [{pq1:.6g}, {pq3:.6g}] -> {cm:.6g} [{cq1:.6g}, {cq3:.6g}]  {wins}/{len(parent)}")
+        metrics[name] = {
+            "better": better.get(name),
+            "parent": {"median": pm, "q1": pq1, "q3": pq3},
+            "change": {"median": cm, "q1": cq1, "q3": cq3},
+            "wins": {"change": wins, "parent": losses},
+        }
     print(f"outputs identical on {len(args.seeds) - len(mismatched)}/{len(args.seeds)} seeds, failed ops {failed_ops}")
+    bench = {
+        "workload": args.workload,
+        "seeds": [args.seeds[0], args.seeds[-1]],
+        "pairs": len(args.seeds),
+        "seconds": args.seconds,
+        "trace": args.trace,
+        "environment": environment,
+        "metrics": metrics,
+        "outputs_identical": len(args.seeds) - len(mismatched),
+        "failed_ops": failed_ops,
+        "per_seed": agreement,
+    }
+    suffix = "_trace" if args.trace else ""
+    path = checkouts["change"] / f"BENCH_{args.workload}{suffix}.json"
+    path.write_text(json.dumps(bench, indent=1) + "\n")
+    print(f"wrote {path}")
     return 1 if mismatched or failed_ops else 0
 
 

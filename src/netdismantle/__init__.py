@@ -37,7 +37,7 @@ from .errors import (
     OracleBudgetError,
     ParseError,
 )
-from .graph import ComponentDecomposition, Graph, components, full_mask, gcc_size, parse_edge_list
+from .graph import ComponentDecomposition, Graph, Subgraph, components, full_mask, gcc_size, parse_edge_list
 from .spectral import (
     Partition,
     SpectralVector,
@@ -78,6 +78,7 @@ __all__ = [
     "ParseError",
     "ComponentDecomposition",
     "Graph",
+    "Subgraph",
     "components",
     "full_mask",
     "gcc_size",

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostVector
 from .errors import InvalidCostError
-from .graph import Graph, NodeMask
+from .graph import Subgraph
 from .spectral import Partition
 
 
@@ -27,74 +26,67 @@ class CoverResult:
     total_cost: float
 
 
-def cut_edges(graph: Graph, mask: NodeMask, partition: Partition) -> np.ndarray:
-    """Active edges with one endpoint in M and one in Mbar, sorted as in
-    the parent edge list."""
-    active = np.asarray(mask, dtype=bool)
-    labels = np.full(graph.n, -1, dtype=np.int8)
-    labels[partition.nodes] = partition.in_m.astype(np.int8)
-    e = graph.edges
-    if not len(e):
-        return e.reshape(0, 2)
-    lu = labels[e[:, 0]]
-    lv = labels[e[:, 1]]
-    keep = (
-        active[e[:, 0]]
-        & active[e[:, 1]]
-        & (lu >= 0)
-        & (lv >= 0)
-        & (lu != lv)
-    )
-    return e[keep]
+def cut_edges(view: Subgraph, partition: Partition) -> np.ndarray:
+    """Edges of the component with one endpoint in M and one in Mbar, as
+    (lo, hi) local id pairs in ascending order, which is the order of the
+    parent edge list."""
+    rows, cols, side = view.rows, view.indices, partition.in_m
+    keep = (rows < cols) & (side[rows] != side[cols])
+    return np.stack([rows[keep], cols[keep]], axis=1)
 
 
-def weighted_vertex_cover(cut: np.ndarray, costs: CostVector) -> CoverResult:
+def weighted_vertex_cover(cut: np.ndarray, weight: np.ndarray) -> CoverResult:
     """Local-ratio sweep over the cut edges in their given order.
 
-    Every endpoint starts with its full cost as residual; each edge
-    transfers eps = min of the two residuals from both.  Nodes whose
-    residual reaches zero (including zero-cost nodes) form the cover.
-    Total cost is at most twice the optimum.
+    The edges are pairs of ids indexing weight, the node costs.  Every
+    endpoint starts with its full cost as residual; each edge transfers
+    eps = min of the two residuals from both.  Nodes whose residual
+    reaches zero (including zero-cost nodes) form the cover.  Total cost
+    is at most twice the optimum.
     """
     cut = np.asarray(cut, dtype=np.int64).reshape(-1, 2)
-    w = costs.w
-    if (w < 0).any():
+    weight = np.asarray(weight, dtype=np.float64)
+    if (weight < 0).any():
         raise InvalidCostError("cost vector has negative entries")
-    weight = w.tolist()
-    residual: dict[int, float] = {}
-    for u, v in cut.tolist():
-        ru = residual.setdefault(u, weight[u])
-        rv = residual.setdefault(v, weight[v])
+    # the sweep runs on the endpoints' ranks, lists of the cut's nodes only
+    ends, pairs = np.unique(cut, return_inverse=True)
+    residual = weight[ends].tolist()
+    for u, v in pairs.reshape(-1, 2).tolist():
+        ru, rv = residual[u], residual[v]
         if ru > 0.0 and rv > 0.0:
             eps = min(ru, rv)
             residual[u] = ru - eps
             residual[v] = rv - eps
-    chosen = sorted(v for v, r in residual.items() if r == 0.0)
-    cover = np.array(chosen, dtype=np.int64)
-    return CoverResult(cover=cover, total_cost=float(w[cover].sum()) if len(cover) else 0.0)
+    cover = ends[np.array(residual) == 0.0]
+    return CoverResult(cover=cover, total_cost=float(weight[cover].sum()) if len(cover) else 0.0)
 
 
-def prune_redundant(result: CoverResult, cut: np.ndarray, costs: CostVector) -> CoverResult:
+def prune_redundant(result: CoverResult, cut: np.ndarray, weight: np.ndarray) -> CoverResult:
     """Drop cover nodes all of whose cut edges are covered by the other
     endpoint, trying the most expensive first (ties: larger id first, so
     equal-cost pairs resolve toward keeping the earlier node)."""
     cut = np.asarray(cut, dtype=np.int64).reshape(-1, 2)
-    cover = set(result.cover.tolist())
-    # partner[v] lists the opposite endpoint of each cut edge at v; with no
-    # self-loops the opposite endpoint is never v itself
-    partner: dict[int, list[int]] = {v: [] for v in cover}
-    for u, v in cut.tolist():
-        if u in partner:
-            partner[u].append(v)
-        if v in partner:
-            partner[v].append(u)
+    weight = np.asarray(weight, dtype=np.float64)
+    in_cover = np.zeros(len(weight), dtype=bool)
+    in_cover[result.cover] = True
+    # every cut edge from either end, (node, partner); never equal
+    node, other = cut.ravel(), cut[:, ::-1].ravel()
     # the cover only shrinks, so a node with a partner outside it now can
-    # never be dropped; only the others need a visit
-    candidates = [v for v in cover if all(other in cover for other in partner[v])]
-    w = costs.w
-    weight = w.tolist()
-    for v in sorted(candidates, key=lambda x: (-weight[x], -x)):
-        if all(other in cover for other in partner[v]):
-            cover.discard(v)
-    kept = np.array(sorted(cover), dtype=np.int64)
-    return CoverResult(cover=kept, total_cost=float(w[kept].sum()) if len(kept) else 0.0)
+    # never be dropped; any other is dropped unless one of its partners
+    # was dropped before it, and only such candidates can have been
+    candidate = in_cover.copy()
+    candidate[node[~in_cover[other]]] = False
+    order = np.flatnonzero(candidate)
+    order = order[np.lexsort((-order, -weight[order]))]
+    rank = np.zeros(len(weight), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    link = candidate[node] & candidate[other]
+    partners: list[list[int]] = [[] for _ in range(len(order))]
+    for a, b in zip(rank[node[link]].tolist(), rank[other[link]].tolist()):
+        partners[a].append(b)
+    dropped = [False] * len(order)
+    for i, mine in enumerate(partners):
+        dropped[i] = not any(dropped[j] for j in mine)
+    in_cover[order[dropped]] = False
+    kept = np.flatnonzero(in_cover)
+    return CoverResult(cover=kept, total_cost=float(weight[kept].sum()) if len(kept) else 0.0)

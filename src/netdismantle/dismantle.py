@@ -3,7 +3,9 @@
 One run repeatedly takes the current largest component, bisects it with
 the node-weighted spectral partition, deletes a pruned 2-approximate
 vertex cover of the cut, and stops once every component has at most C
-nodes.  Reinsertion then walks the removed set and puts back any node
+nodes.  Only the bisected component changes, so a bisection reads that
+component's subgraph alone and splits it into the pieces the cover
+leaves.  Reinsertion then walks the removed set and puts back any node
 whose return keeps all components within C, cheapest damage first, which
 repairs most of the overshoot the cover step pays for disconnecting
 groups completely.
@@ -21,12 +23,11 @@ import numpy as np
 
 from .costs import CostMode, CostVector
 from .errors import InternalInvariantError
-from .graph import Graph, _run_starts, components, full_mask
+from .graph import Graph, Subgraph, _adjacency_flat, _run_starts, components, full_mask
 from .cover import cut_edges, prune_redundant, weighted_vertex_cover
 from .rng import PRNG_NAME, mix_seed
 from .spectral import (
     Partition,
-    _adjacency_flat,
     approx_fiedler,
     build_operator,
     fine_tune_partition,
@@ -182,12 +183,9 @@ class _UnionFind:
         """Seed a union-find with the masked graph's components as flat
         stars, skipping the per-edge union loop.  Returns (forest, gcc)."""
         decomposition = components(graph, mask)
-        act = np.asarray(mask, dtype=bool)
-        parent = np.arange(graph.n, dtype=np.int64)
-        parent[act] = decomposition.component_id[act]
+        parent = np.where(np.asarray(mask, dtype=bool), decomposition.component_id, np.arange(graph.n))
         size = np.ones(graph.n, dtype=np.int64)
-        if decomposition.sizes:
-            size[list(decomposition.sizes)] = list(decomposition.sizes.values())
+        size[list(decomposition.sizes)] = list(decomposition.sizes.values())
         return cls(parent.tolist(), size.tolist()), decomposition.gcc_size
 
 
@@ -198,7 +196,7 @@ def _roots_around(
     the size of the component its return would form, and the distinct
     component ids around it.  uf must hold the active nodes' components
     as flat stars, so a component id is its root."""
-    rows, nbrs = _adjacency_flat(graph, removed)
+    rows, nbrs = _adjacency_flat(graph.indptr, graph.indices, removed)
     active = base[nbrs]
     key = np.sort(rows[active] * graph.n + np.asarray(uf.parent)[nbrs[active]])
     owner, root = np.divmod(key[_run_starts(key)], graph.n)
@@ -209,7 +207,7 @@ def _roots_around(
     return merged.astype(np.int64).tolist(), roots
 
 
-def replay_gcc_sizes(graph: Graph, order: np.ndarray, base_mask=None) -> tuple[np.ndarray, int]:
+def replay_gcc_sizes(graph: Graph, order: np.ndarray) -> tuple[np.ndarray, int]:
     """Largest-component size after each removal prefix of order.
 
     Removing nodes one by one and recomputing components is quadratic, so
@@ -217,7 +215,7 @@ def replay_gcc_sizes(graph: Graph, order: np.ndarray, base_mask=None) -> tuple[n
     re-activate in reverse order, and union edges as they come back.
     Returns (gcc size after each prefix, gcc size before any removal).
     """
-    base = full_mask(graph.n) if base_mask is None else np.asarray(base_mask, bool).copy()
+    base = full_mask(graph.n)
     order = np.asarray(order, dtype=np.int64)
     base[order] = False
     uf, current = _UnionFind.over_components(graph, base)
@@ -262,58 +260,56 @@ def dismantle(
     subspace is annihilated exactly), so it is split trivially instead.
     """
     costs.validate(graph)
-    mask = full_mask(graph.n)
-    metadata = SolutionMetadata(
-        seed=seed,
-        iter_multiplier=iter_multiplier,
-        fine_tuning=fine_tuning,
-        reinserted=False,
-        cost_mode=costs.mode.value,
-        target_c=target.c,
-    )
+    metadata = SolutionMetadata(seed=seed, iter_multiplier=iter_multiplier, fine_tuning=fine_tuning,
+                                reinserted=False, cost_mode=costs.mode.value, target_c=target.c)
     # spectral encloses operator, power_iteration (with the sign split) and fine_tune
     phase = dict.fromkeys(["components", "spectral", "operator", "power_iteration"], 0.0)
     phase.update(fine_tune=0.0, cover=0.0, replay=0.0)
     t0 = time.perf_counter()
-    decomposition = components(graph, mask)
-    phase["components"] += time.perf_counter() - t0
+    decomposition = components(graph, full_mask(graph.n))
     metadata.initial_gcc = decomposition.gcc_size
+    pieces = Subgraph(np.arange(graph.n), graph.indptr, graph.indices).split(decomposition.component_id, target.c)
+    # components above the target, largest first, ties to the smaller id
+    heap: list[tuple[int, int, Subgraph]] = []
     batches: list[np.ndarray] = []
-    while decomposition.gcc_size > target.c:
-        comp = decomposition.members(decomposition.gcc_id)
+    while True:
+        for piece in pieces:
+            heapq.heappush(heap, (-piece.size, int(piece.nodes[0]), piece))
+        phase["components"] += time.perf_counter() - t0
+        if not heap:
+            break
+        view = heapq.heappop(heap)[2]
         t0 = time.perf_counter()
-        if len(comp) == 2:
-            partition = Partition(nodes=comp, in_m=np.array([True, False]))
+        if view.size == 2:
+            partition = Partition(nodes=view.nodes, in_m=np.array([True, False]))
         else:
-            operator = build_operator(graph, mask, costs, comp)
+            operator = build_operator(view, costs)
             t1 = time.perf_counter()
             phase["operator"] += t1 - t0
-            iterations = iteration_budget(len(comp), iter_multiplier)
+            iterations = iteration_budget(view.size, iter_multiplier)
             vector = approx_fiedler(operator, mix_seed(seed, metadata.bisections), iterations)
             metadata.power_iterations += iterations
             partition = sign_partition(vector)
+            del operator, vector  # the largest arrays of a bisection, not needed by the cover
             t2 = time.perf_counter()
             phase["power_iteration"] += t2 - t1
             if fine_tuning:
-                partition = fine_tune_partition(graph, mask, comp, partition)
+                partition = fine_tune_partition(view, partition=partition)
                 phase["fine_tune"] += time.perf_counter() - t2
         phase["spectral"] += time.perf_counter() - t0
         t0 = time.perf_counter()
-        cut = cut_edges(graph, mask, partition)
-        result = prune_redundant(weighted_vertex_cover(cut, costs), cut, costs)
+        cut = cut_edges(view, partition)
+        weight = costs.w[view.nodes]
+        result = prune_redundant(weighted_vertex_cover(cut, weight), cut, weight)
         phase["cover"] += time.perf_counter() - t0
         if len(result.cover) == 0:
-            raise InternalInvariantError(
-                "empty cover while the largest component still exceeds the target"
-            )
-        mask[result.cover] = False
-        batches.append(result.cover)
+            raise InternalInvariantError("empty cover while the largest component still exceeds the target")
+        batches.append(view.nodes[result.cover])
         metadata.bisections += 1
         t0 = time.perf_counter()
-        decomposition = components(graph, mask)
-        phase["components"] += time.perf_counter() - t0
-    if decomposition.gcc_size > target.c:
-        raise InternalInvariantError("run ended above the target component size")
+        kept = np.ones(view.size, dtype=bool)
+        kept[result.cover] = False
+        pieces = view.pieces(kept, target.c)
     metadata.phase_seconds = phase
     order = np.concatenate(batches) if batches else np.empty(0, dtype=np.int64)
     return _build_solution(graph, costs, order, metadata)

@@ -99,6 +99,10 @@ def _run_member_in_worker(index: int) -> MemberResult:
     return _run_member(graph, costs, target, config, index)
 
 
+def _member_seed(config: EnsembleConfig, index: int) -> int:
+    return (config.base_seed + index) & MASK64
+
+
 def _run_member(
     graph: Graph,
     costs: CostVector,
@@ -106,7 +110,7 @@ def _run_member(
     config: EnsembleConfig,
     index: int,
 ) -> MemberResult:
-    seed = (config.base_seed + index) & MASK64
+    seed = _member_seed(config, index)
     started = time.perf_counter()
     solution = dismantle(
         graph,
@@ -142,7 +146,7 @@ def run_ensemble(
             try:
                 report.members.append(_run_member(graph, costs, target, config, index))
             except Exception as exc:
-                raise EnsembleMemberError(index, exc) from exc
+                raise EnsembleMemberError(index, _member_seed(config, index), exc) from exc
         return report
     with ProcessPoolExecutor(
         max_workers=workers,
@@ -154,7 +158,7 @@ def run_ensemble(
             try:
                 report.members.append(future.result())
             except Exception as exc:
-                raise EnsembleMemberError(index, exc) from exc
+                raise EnsembleMemberError(index, _member_seed(config, index), exc) from exc
     return report
 
 

@@ -35,9 +35,11 @@ class InternalInvariantError(RuntimeError):
 
 
 class EnsembleMemberError(RuntimeError):
-    """A single ensemble member failed; carries the member index."""
+    """A single ensemble member failed; carries the member index and the
+    seed it ran with, so the failure can be rerun alone."""
 
-    def __init__(self, member_index: int, cause: BaseException):
-        super().__init__(f"ensemble member {member_index} failed: {cause!r}")
+    def __init__(self, member_index: int, seed: int, cause: BaseException):
+        super().__init__(f"ensemble member {member_index} (seed {seed}) failed: {cause!r}")
         self.member_index = member_index
+        self.seed = seed
         self.cause = cause

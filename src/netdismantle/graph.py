@@ -3,12 +3,14 @@
 A parsed graph never changes; dismantling state lives in a boolean node
 mask next to it.  Components of the masked graph are computed on demand
 and identified by their smallest member id, which keeps every downstream
-tie-break deterministic.
+tie-break deterministic.  A bisection reads one component's Subgraph, in
+local ids, and splits it into pieces without scanning the whole graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -50,6 +52,12 @@ class Graph:
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
+
+    def subgraph(self, nodes: np.ndarray) -> "Subgraph":
+        """The subgraph induced on a nonempty node set."""
+        labels = np.full(self.n, -1, dtype=np.int64)
+        labels[nodes] = 0
+        return Subgraph(np.arange(self.n), self.indptr, self.indices).split(labels, 0)[0]
 
     def stats(self) -> dict:
         deg = self.degree
@@ -250,12 +258,82 @@ class ComponentDecomposition:
     gcc_id: int
     gcc_size: int
 
-    @property
-    def count(self) -> int:
-        return len(self.sizes)
-
     def members(self, comp_id: int) -> np.ndarray:
         return np.flatnonzero(self.component_id == comp_id)
+
+
+@dataclass(frozen=True)
+class Subgraph:
+    """The subgraph a Graph induces on a sorted node set, in local ids.
+
+    Local id i stands for nodes[i], so local order is global order, and
+    indptr/indices form its CSR adjacency.  A component of the masked
+    graph has no active neighbour outside itself, so needs no mask.
+    """
+
+    nodes: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.nodes)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row of every CSR entry."""
+        return np.repeat(np.arange(self.size, dtype=self.indices.dtype), np.diff(self.indptr))
+
+    def pieces(self, kept: np.ndarray, c: int) -> list["Subgraph"]:
+        """The connected pieces of more than c nodes among the kept local ids."""
+        return self.split(_component_labels(self.indptr, self.indices, kept), c)
+
+    def split(self, labels: np.ndarray, c: int) -> list["Subgraph"]:
+        """The subgraphs on the groups of more than c local ids sharing a
+        label >= 0.  A node's neighbours must share its label or carry
+        -1, as they do for component labels."""
+        kept = np.flatnonzero(labels >= 0)
+        members = kept[np.bincount(labels[kept])[labels[kept]] > c]
+        if not len(members):
+            return []
+        members = members[np.argsort(labels[members], kind="stable")]
+        starts = np.flatnonzero(_run_starts(labels[members]))
+        # each member's rank within its group, int32 as scipy stores indices
+        local = np.full(self.size, -1, dtype=np.int32)
+        local[members] = np.arange(len(members)) - np.repeat(starts, np.diff(starts, append=len(members)))
+        out = []
+        for group in np.split(members, starts[1:]):
+            rows, nbrs = _adjacency_flat(self.indptr, self.indices, group)
+            cols = local[nbrs]
+            keep = cols >= 0
+            indptr = np.zeros(len(group) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows[keep], minlength=len(group)), out=indptr[1:])
+            out.append(Subgraph(self.nodes[group], indptr, cols[keep]))
+        return out
+
+
+def _adjacency_flat(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray):
+    """Flattened CSR rows of an id subset: (position in nodes per entry,
+    neighbor per entry)."""
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    idx = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(int(counts.sum()))
+    return np.repeat(np.arange(len(nodes)), counts), indices[idx]
+
+
+def _component_labels(indptr: np.ndarray, indices: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Component labels of the kept ids of a CSR graph, -1 for the rest."""
+    k = len(kept)
+    rows = np.repeat(np.arange(k, dtype=np.int32), np.diff(indptr))
+    # one direction of each kept edge is enough for undirected labels
+    entries = (rows < indices) & kept[rows] & kept[indices]
+    rows = rows[entries]
+    sub_indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=k), out=sub_indptr[1:])
+    adj = sp.csr_matrix((np.ones(len(rows), dtype=np.int8), indices[entries], sub_indptr), shape=(k, k))
+    labels = _sp_components(adj, directed=False)[1]
+    labels[~kept] = -1
+    return labels
 
 
 def components(graph: Graph, mask: NodeMask) -> ComponentDecomposition:
@@ -264,44 +342,19 @@ def components(graph: Graph, mask: NodeMask) -> ComponentDecomposition:
     if active.shape != (graph.n,):
         raise ValueError("mask length must equal graph.n")
     act_idx = np.flatnonzero(active)
-    if len(act_idx) == 0:
-        return ComponentDecomposition(
-            component_id=np.full(graph.n, -1, dtype=np.int64),
-            sizes={},
-            gcc_id=-1,
-            gcc_size=0,
-        )
-    e = graph.edges
-    if len(e):
-        keep = active[e[:, 0]] & active[e[:, 1]]
-        ek = e[keep]
-    else:
-        ek = e
-    if len(ek):
-        data = np.ones(2 * len(ek), dtype=np.int8)
-        rows = np.concatenate([ek[:, 0], ek[:, 1]])
-        cols = np.concatenate([ek[:, 1], ek[:, 0]])
-        adj = sp.csr_matrix((data, (rows, cols)), shape=(graph.n, graph.n))
-        _, raw = _sp_components(adj, directed=False)
-    else:
-        raw = np.arange(graph.n)
-    raw_act = raw[act_idx]
-    # act_idx ascends, so the first occurrence of each raw label is its
+    # act_idx ascends, so the first occurrence of each label is its
     # smallest member, which becomes the canonical component id
-    uniq, first, inverse, counts = np.unique(
-        raw_act, return_index=True, return_inverse=True, return_counts=True
-    )
+    labels = _component_labels(graph.indptr, graph.indices, active)[act_idx]
+    _, first, inverse, counts = np.unique(labels, return_index=True, return_inverse=True, return_counts=True)
     canon = act_idx[first]
     component_id = np.full(graph.n, -1, dtype=np.int64)
     component_id[act_idx] = canon[inverse]
-    sizes = {int(c): int(s) for c, s in zip(canon, counts)}
-    top = counts.max()
-    gcc_id = int(canon[counts == top].min())
+    top = int(counts.max(initial=0))
     return ComponentDecomposition(
         component_id=component_id,
-        sizes=sizes,
-        gcc_id=gcc_id,
-        gcc_size=int(top),
+        sizes=dict(zip(canon.tolist(), counts.tolist())),
+        gcc_id=int(canon[counts == top].min()) if top else -1,
+        gcc_size=top,
     )
 
 

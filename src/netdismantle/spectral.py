@@ -8,9 +8,9 @@ approximated matrix-free: with the Gershgorin shift c = 2 max_u d_u the
 operator cI - L is positive semidefinite and its dominant eigenvector is
 the constant vector, so subtracting the mean every step deflates it and
 plain power iteration converges to the eigenvector we want.  Each step
-works in buffers allocated once per run and calls scipy's CSR matvec
-kernel directly, doing the same arithmetic in the same order as
-x - mean(x), scale * x + B x and a division by the norm would.
+works in buffers allocated once per run and makes one call to scipy's
+CSR matvec kernel, on B + diag(scale).  That gives the bits x - mean(x),
+scale * x + B x and a division by the norm would.
 
 A fixed iteration budget stands in for a convergence test on purpose:
 runs are then deterministic functions of (graph, costs, seed, budget),
@@ -28,7 +28,7 @@ from scipy.sparse._sparsetools import csr_matvec
 
 from .costs import CostVector
 from .errors import ComponentTooSmallError, DegenerateSpectrumError, InvalidCostError
-from .graph import Graph, NodeMask
+from .graph import Subgraph
 from .rng import initial_vector, retry_seed
 
 # norms below this are treated as a collapse to zero
@@ -45,7 +45,8 @@ class WeightedLaplacianOperator:
 
     nodes holds the sorted global ids; position i of any vector refers to
     nodes[i].  Applying it, scale * x + b x, costs one sparse matvec,
-    O(edges in component).
+    O(edges in component).  step holds the CSR (indptr, indices, data) of
+    b + diag(scale), which applies the whole operator in one matvec.
     """
 
     nodes: np.ndarray
@@ -53,6 +54,7 @@ class WeightedLaplacianOperator:
     weighted_degree: np.ndarray
     shift: float
     scale: np.ndarray  # shift - weighted_degree, precomputed
+    step: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def size(self) -> int:
@@ -62,46 +64,26 @@ class WeightedLaplacianOperator:
         return self.weighted_degree * x - self.b.dot(x)
 
 
-def build_operator(
-    graph: Graph,
-    mask: NodeMask,
-    costs: CostVector,
-    component: np.ndarray,
-) -> WeightedLaplacianOperator:
-    """Assemble the shifted weighted Laplacian of one masked component."""
-    nodes = np.asarray(component, dtype=np.int64)
-    nodes = np.sort(nodes)
+def build_operator(view: Subgraph, costs: CostVector) -> WeightedLaplacianOperator:
+    """Assemble the shifted weighted Laplacian of one component."""
+    nodes = view.nodes
     k = len(nodes)
     if k < 2:
         raise ComponentTooSmallError("component too small to bisect (need >= 2 nodes)")
-    active = np.asarray(mask, dtype=bool)
-    if not active[nodes].all():
-        raise ValueError("component contains masked-out nodes")
-    w = costs.w
-    if (w[nodes] < 0).any():
+    w = costs.w[nodes]
+    if (w < 0).any():
         raise InvalidCostError("negative cost inside component")
-    if not (w[nodes] > 0).any():
+    if not (w > 0).any():
         raise InvalidCostError("component has all-zero costs, edge weights vanish")
-    local = np.full(graph.n, -1, dtype=np.int64)
-    local[nodes] = np.arange(k)
-    # CSR rows are sorted and local ids rise with global ids, so keeping
-    # each row's in-component entries in order gives canonical CSR
-    flat_rows, nbrs = _adjacency_flat(graph, nodes)
-    cols = local[nbrs]
-    keep = cols >= 0
-    rows = flat_rows[keep]
-    indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
-    b = sp.csr_matrix((w[nodes[rows]] + w[nbrs[keep]], cols[keep], indptr), shape=(k, k))
+    b = sp.csr_matrix((w[view.rows] + w[view.indices], view.indices, view.indptr), shape=(k, k))
     weighted_degree = np.asarray(b.sum(axis=1)).ravel()
     shift = 2.0 * float(weighted_degree.max())
-    return WeightedLaplacianOperator(
-        nodes=nodes,
-        b=b,
-        weighted_degree=weighted_degree,
-        shift=shift,
-        scale=shift - weighted_degree,
-    )
+    scale = shift - weighted_degree
+    # scale[i] goes in as the last entry of row i
+    ends = b.indptr[1:]
+    step = (b.indptr + np.arange(k + 1, dtype=b.indptr.dtype), np.insert(b.indices, ends, np.arange(k)),
+            np.insert(b.data, ends, scale))
+    return WeightedLaplacianOperator(nodes, b, weighted_degree, shift, scale, step)
 
 
 def iteration_budget(n: int, multiplier: int = 1) -> int:
@@ -130,19 +112,16 @@ class SpectralVector:
 
 
 def _power_iterate(op: WeightedLaplacianOperator, x0: np.ndarray, iterations: int) -> np.ndarray:
-    b = op.b
+    indptr, indices, data = op.step
     k = op.size
     x = x0.copy()
     y = np.empty(k)
-    bx = np.empty(k)
     for _ in range(iterations):
         np.subtract(x, np.add.reduce(x) / k, out=x)
         if math.sqrt(x.dot(x)) < _UNDERFLOW:
             raise _UnderflowCollapse
-        bx.fill(0.0)  # the kernel adds into its output
-        csr_matvec(k, k, b.indptr, b.indices, b.data, x, bx)
-        np.multiply(op.scale, x, out=y)
-        np.add(y, bx, out=y)
+        y.fill(0.0)  # the kernel adds into its output
+        csr_matvec(k, k, indptr, indices, data, x, y)
         norm = math.sqrt(y.dot(y))
         if norm < _UNDERFLOW:
             raise _UnderflowCollapse
@@ -219,76 +198,53 @@ def sign_partition(vec: SpectralVector) -> Partition:
     return Partition(nodes=vec.nodes, in_m=in_m)
 
 
-def _adjacency_flat(graph: Graph, nodes: np.ndarray):
-    """Flattened CSR rows for a sorted id subset: (row index per entry,
-    neighbor per entry)."""
-    starts = graph.indptr[nodes]
-    counts = graph.indptr[nodes + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    idx = np.repeat(starts - offsets, counts) + np.arange(total)
-    flat_rows = np.repeat(np.arange(len(nodes)), counts)
-    return flat_rows, graph.indices[idx]
-
-
 def fine_tune_partition(
-    graph: Graph,
-    mask: NodeMask,
-    component: np.ndarray,
+    view: Subgraph,
     partition: Partition,
     flip_log: list[int] | None = None,
 ) -> Partition:
     """Greedy sign flips that strictly shrink the cut.
 
-    A node moves to the other group when every one of its active
-    neighbors sits in the other group (so it has at least one) and its
-    own group would not be emptied.  Nodes are scanned in ascending id
-    against the updated labels until a full scan flips nothing.  Each
+    A node moves to the other group when every one of its neighbors in
+    the component sits in the other group (so it has at least one) and
+    its own group would not be emptied.  Nodes are scanned in ascending
+    id against the updated labels until a full scan flips nothing.  Each
     flip turns all of the node's cut edges into internal ones and creates
     none, so the cut shrinks monotonically and the loop terminates.
 
     flip_log, when given, receives the flipped node ids in flip order.
     """
-    nodes = partition.nodes
-    active = np.asarray(mask, dtype=bool)
-    labels = np.full(graph.n, -1, dtype=np.int8)
-    labels[nodes] = partition.in_m.astype(np.int8)
+    labels = partition.in_m.astype(np.int8)
     size = [int(partition.size_mbar), int(partition.size_m)]  # size[lab]
 
     # a flip only ever gives neighbors a same-labeled partner, so nodes
-    # with a same-labeled active neighbor now are out for good and the
+    # with a same-labeled neighbor now are out for good and the
     # candidate set can be computed once
-    flat_rows, flat_nbrs = _adjacency_flat(graph, nodes)
-    valid = active[flat_nbrs]
-    same = valid & (labels[flat_nbrs] == labels[nodes][flat_rows])
-    active_deg = np.bincount(flat_rows[valid], minlength=len(nodes))
-    same_count = np.bincount(flat_rows[same], minlength=len(nodes))
-    pending = [int(v) for v in nodes[(active_deg >= 1) & (same_count == 0)]]
+    rows = view.rows
+    same_count = np.bincount(rows[labels[view.indices] == labels[rows]], minlength=view.size)
+    pending = np.flatnonzero((np.diff(view.indptr) >= 1) & (same_count == 0)).tolist()
 
     changed = True
     while changed and pending:
         changed = False
         still_pending: list[int] = []
         for v in pending:
-            nbrs = graph.neighbors(v)
-            nbrs = nbrs[active[nbrs]]
+            nbrs = view.indices[view.indptr[v] : view.indptr[v + 1]]
             lab = labels[v]
-            if len(nbrs) and (labels[nbrs] != lab).all():
+            if (labels[nbrs] != lab).all():
                 if size[lab] > 1:
                     labels[v] = 1 - lab
                     size[lab] -= 1
                     size[1 - lab] += 1
                     changed = True
                     if flip_log is not None:
-                        flip_log.append(v)
+                        flip_log.append(int(view.nodes[v]))
                 else:
                     # group-size guard, may free up on a later scan
                     still_pending.append(v)
             # a same-labeled neighbor appeared: disqualified permanently
         pending = still_pending
-    return Partition(nodes=nodes, in_m=labels[nodes] == 1)
+    return Partition(nodes=partition.nodes, in_m=labels == 1)
 
 
 def partition_debug_csv(vec: SpectralVector, partition: Partition) -> str:

@@ -114,7 +114,7 @@ def fiedler_test_instances(count: int, start_seed: int = 0, max_n: int = 100):
             lap[u, u] += b
             lap[v, v] += b
         lam, _ = jacobi_eigh(lap)
-        op = build_operator(graph, full_mask(n), costs, np.arange(n))
+        op = build_operator(graph.subgraph(np.arange(n)), costs)
         budget = iteration_budget(n, 1)
         num = float(op.shift - lam[1])
         den = float(op.shift - lam[2])

@@ -136,7 +136,7 @@ def test_c02_cover_two_approximation():
         costs = CostVector(
             w=rng.integers(1, 10, size=n).astype(np.float64), mode=CostMode.UNIT
         )
-        swept = weighted_vertex_cover(cut, costs)
+        swept = weighted_vertex_cover(cut, costs.w)
         optimum = brute_force_min_vertex_cover(cut, costs)
         worst = max(worst, swept.total_cost / optimum)
         if swept.total_cost > 2.0 * optimum + 1e-9:
@@ -156,7 +156,7 @@ def test_c03_spectral_fidelity():
     # at least 100 over P, otherwise no start vector can converge
     cosines = []
     for graph, costs, budget, seed in fiedler_test_instances(20, max_n=60):
-        op = build_operator(graph, full_mask(graph.n), costs, np.arange(graph.n))
+        op = build_operator(graph.subgraph(np.arange(graph.n)), costs)
         vec = approx_fiedler(op, seed, budget)
         _, exact = dense_fiedler(graph, full_mask(graph.n), costs, np.arange(graph.n))
         cosines.append(abs(float(vec.values @ exact)))
@@ -278,17 +278,17 @@ def test_c07_fine_tuning_properties():
             in_m[0] = not in_m[0]
         partition = Partition(nodes=np.arange(n), in_m=in_m)
         mask = full_mask(n)
-        before = len(cut_edges(graph, mask, partition))
+        before = len(cut_edges(graph.subgraph(np.arange(n)), partition))
         flips: list[int] = []
-        tuned = fine_tune_partition(graph, mask, np.arange(n), partition, flip_log=flips)
-        after = len(cut_edges(graph, mask, tuned))
+        tuned = fine_tune_partition(graph.subgraph(np.arange(n)), partition, flip_log=flips)
+        after = len(cut_edges(graph.subgraph(np.arange(n)), tuned))
         assert after <= before
         labels = partition.in_m.copy()
         current = before
         for v in flips:
             labels[v] = ~labels[v]
             stepped = len(
-                cut_edges(graph, mask, Partition(nodes=partition.nodes, in_m=labels))
+                cut_edges(graph.subgraph(np.arange(n)), Partition(nodes=partition.nodes, in_m=labels))
             )
             assert current - stepped == graph.degree[v], (i, v)
             current = stepped
@@ -305,11 +305,11 @@ def test_c07_fine_tuning_properties():
 
         decomposition = components(petster, full_mask(petster.n))
         comp = decomposition.members(decomposition.gcc_id)
-        op = build_operator(petster, full_mask(petster.n), costs, comp)
+        op = build_operator(petster.subgraph(comp), costs)
         vec = approx_fiedler(op, mix_seed(0, 0), iteration_budget(len(comp), 1))
         part = sign_partition(vec)
         flips = []
-        fine_tune_partition(petster, full_mask(petster.n), comp, part, flip_log=flips)
+        fine_tune_partition(petster.subgraph(comp), part, flip_log=flips)
         sub_ok = len(flips) > 0
         subnote = f"first bisection of petster-hamster flipped {len(flips)} nodes"
     record_criterion(

@@ -11,7 +11,6 @@ from netdismantle import (
     Graph,
     Partition,
     cut_edges,
-    full_mask,
     prune_redundant,
     weighted_vertex_cover,
 )
@@ -35,48 +34,57 @@ class TestCutEdges:
     def test_square_alternating(self):
         g = Graph.from_edges([(0, 1), (0, 3), (1, 2), (2, 3)])
         p = Partition(nodes=np.arange(4), in_m=np.array([True, False, True, False]))
-        cut = cut_edges(g, full_mask(4), p)
+        cut = cut_edges(g.subgraph(p.nodes), p)
         assert cut.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
 
     def test_grouped_path_cuts_once(self):
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
         p = Partition(nodes=np.arange(4), in_m=np.array([True, True, False, False]))
-        cut = cut_edges(g, full_mask(4), p)
+        cut = cut_edges(g.subgraph(p.nodes), p)
         assert cut.tolist() == [[1, 2]]
 
     def test_masked_endpoint_excluded(self):
+        # node 2 is left out of the subgraph, as a removed node is
         g = Graph.from_edges([(0, 1), (1, 2)])
-        mask = full_mask(3)
-        mask[2] = False
         p = Partition(nodes=np.array([0, 1]), in_m=np.array([True, False]))
-        cut = cut_edges(g, mask, p)
+        cut = cut_edges(g.subgraph(p.nodes), p)
         assert cut.tolist() == [[0, 1]]
 
     def test_unlabeled_endpoint_excluded(self):
         # partition spans one component; edges into other components stay out
         g = Graph.from_edges([(0, 1), (2, 3)])
         p = Partition(nodes=np.array([0, 1]), in_m=np.array([True, False]))
-        cut = cut_edges(g, full_mask(4), p)
+        cut = cut_edges(g.subgraph(p.nodes), p)
         assert cut.tolist() == [[0, 1]]
+
+    def test_local_ids_in_parent_edge_order(self):
+        # the subgraph on {2, 4, 5, 7}, local ids 0..3: its cut comes back
+        # in local ids, in the order of the parent's sorted edge list
+        g = Graph.from_edges([(7, 2), (4, 5), (2, 4), (5, 7), (2, 5), (1, 2)])
+        view = g.subgraph(np.array([7, 2, 5, 4]))
+        p = Partition(nodes=view.nodes, in_m=np.array([True, False, True, False]))
+        cut = cut_edges(view, p)
+        assert view.nodes[cut].tolist() == [[2, 4], [2, 7], [4, 5], [5, 7]]
+        assert cut.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
 
     def test_no_cross_edges(self):
         g = Graph.from_edges([(0, 1), (2, 3)])
         p = Partition(nodes=np.arange(4), in_m=np.array([True, True, False, False]))
-        assert len(cut_edges(g, full_mask(4), p)) == 0
+        assert len(cut_edges(g.subgraph(p.nodes), p)) == 0
 
 
 class TestSweep:
     def test_triangle_unit(self):
         # first edge zeroes both endpoints; later edges transfer nothing
         cut = np.array([[0, 1], [0, 2], [1, 2]])
-        result = weighted_vertex_cover(cut, unit_costs(3))
+        result = weighted_vertex_cover(cut, unit_costs(3).w)
         assert result.cover.tolist() == [0, 1]
         assert result.total_cost == 2.0
 
     def test_path_hits_two_to_one(self):
         # {0, 1} against the optimal {1}: the 2x bound is tight here
         cut = np.array([[0, 1], [1, 2]])
-        result = weighted_vertex_cover(cut, unit_costs(3))
+        result = weighted_vertex_cover(cut, unit_costs(3).w)
         assert result.cover.tolist() == [0, 1]
         assert result.total_cost == 2.0
         assert brute_force_min_vertex_cover(cut, unit_costs(3)) == 1.0
@@ -85,32 +93,32 @@ class TestSweep:
         w = np.array([5.0, 1.0, 1.0, 1.0, 1.0, 1.0])
         costs = CostVector(w=w, mode=CostMode.UNIT)
         cut = np.array([[0, i] for i in range(1, 6)])
-        result = weighted_vertex_cover(cut, costs)
+        result = weighted_vertex_cover(cut, costs.w)
         assert result.cover.tolist() == [0, 1, 2, 3, 4, 5]
         assert result.total_cost == 10.0
 
     def test_zero_cost_node_enters_for_free(self):
         costs = CostVector(w=np.array([0.0, 1.0]), mode=CostMode.UNIT)
-        result = weighted_vertex_cover(np.array([[0, 1]]), costs)
+        result = weighted_vertex_cover(np.array([[0, 1]]), costs.w)
         assert result.cover.tolist() == [0]
         assert result.total_cost == 0.0
 
     def test_empty_cut(self):
-        result = weighted_vertex_cover(np.empty((0, 2), dtype=np.int64), unit_costs(1))
+        result = weighted_vertex_cover(np.empty((0, 2), dtype=np.int64), unit_costs(1).w)
         assert len(result.cover) == 0
         assert result.total_cost == 0.0
 
     def test_negative_cost_rejected(self):
         costs = CostVector(w=np.array([1.0, -1.0]), mode=CostMode.UNIT)
         with pytest.raises(InvalidCostError):
-            weighted_vertex_cover(np.array([[0, 1]]), costs)
+            weighted_vertex_cover(np.array([[0, 1]]), costs.w)
 
     def test_order_sensitivity_is_the_given_order(self):
         # the sweep walks edges as handed in; a different order may choose
         # a different cover, so the function must not re-sort
         costs = unit_costs(3)
-        forward = weighted_vertex_cover(np.array([[0, 1], [0, 2]]), costs)
-        backward = weighted_vertex_cover(np.array([[0, 2], [0, 1]]), costs)
+        forward = weighted_vertex_cover(np.array([[0, 1], [0, 2]]), costs.w)
+        backward = weighted_vertex_cover(np.array([[0, 2], [0, 1]]), costs.w)
         assert forward.cover.tolist() == [0, 1]
         assert backward.cover.tolist() == [0, 2]
 
@@ -121,18 +129,18 @@ class TestPrune:
         # larger id first, so the smaller id survives
         cut = np.array([[0, 5]])
         costs = unit_costs(6)
-        full = weighted_vertex_cover(cut, costs)
+        full = weighted_vertex_cover(cut, costs.w)
         assert full.cover.tolist() == [0, 5]
-        pruned = prune_redundant(full, cut, costs)
+        pruned = prune_redundant(full, cut, costs.w)
         assert pruned.cover.tolist() == [0]
 
     def test_expensive_node_dropped_first(self):
         cut = np.array([[0, 1], [1, 2]])
         costs = CostVector(w=np.array([1.0, 5.0, 1.0]), mode=CostMode.UNIT)
-        assert weighted_vertex_cover(cut, costs).cover.tolist() == [0, 2]
+        assert weighted_vertex_cover(cut, costs.w).cover.tolist() == [0, 2]
         # force the full cover through pruning to watch the scan order
         everyone = CoverResult(cover=np.array([0, 1, 2]), total_cost=7.0)
-        pruned = prune_redundant(everyone, cut, costs)
+        pruned = prune_redundant(everyone, cut, costs.w)
         assert pruned.cover.tolist() == [0, 2]
         assert pruned.total_cost == 2.0
 
@@ -140,7 +148,7 @@ class TestPrune:
         w = np.array([5.0, 1.0, 1.0, 1.0, 1.0, 1.0])
         costs = CostVector(w=w, mode=CostMode.UNIT)
         cut = np.array([[0, i] for i in range(1, 6)])
-        pruned = prune_redundant(weighted_vertex_cover(cut, costs), cut, costs)
+        pruned = prune_redundant(weighted_vertex_cover(cut, costs.w), cut, costs.w)
         assert pruned.cover.tolist() == [1, 2, 3, 4, 5]
         assert pruned.total_cost == 5.0
         assert pruned.total_cost == brute_force_min_vertex_cover(cut, costs)
@@ -148,12 +156,12 @@ class TestPrune:
     def test_unit_star_prune_keeps_hub(self):
         costs = unit_costs(6)
         cut = np.array([[0, i] for i in range(1, 6)])
-        pruned = prune_redundant(weighted_vertex_cover(cut, costs), cut, costs)
+        pruned = prune_redundant(weighted_vertex_cover(cut, costs.w), cut, costs.w)
         assert pruned.cover.tolist() == [0]
 
     def test_empty_cover_passthrough(self):
         empty = CoverResult(cover=np.empty(0, dtype=np.int64), total_cost=0.0)
-        pruned = prune_redundant(empty, np.empty((0, 2), dtype=np.int64), unit_costs(1))
+        pruned = prune_redundant(empty, np.empty((0, 2), dtype=np.int64), unit_costs(1).w)
         assert len(pruned.cover) == 0
         assert pruned.total_cost == 0.0
 
@@ -165,7 +173,7 @@ class TestProperties:
         cut, n = random_bipartite_cut(seed)
         rng = np.random.default_rng(seed + 1)
         costs = CostVector(w=rng.integers(1, 10, size=n).astype(np.float64), mode=CostMode.UNIT)
-        result = weighted_vertex_cover(cut, costs)
+        result = weighted_vertex_cover(cut, costs.w)
         assert covers_all(result.cover, cut)
         optimum = brute_force_min_vertex_cover(cut, costs)
         assert result.total_cost <= 2.0 * optimum + 1e-9
@@ -176,8 +184,8 @@ class TestProperties:
         cut, n = random_bipartite_cut(seed)
         rng = np.random.default_rng(seed + 2)
         costs = CostVector(w=rng.integers(1, 10, size=n).astype(np.float64), mode=CostMode.UNIT)
-        full = weighted_vertex_cover(cut, costs)
-        pruned = prune_redundant(full, cut, costs)
+        full = weighted_vertex_cover(cut, costs.w)
+        pruned = prune_redundant(full, cut, costs.w)
         assert covers_all(pruned.cover, cut)
         assert pruned.total_cost <= full.total_cost + 1e-9
         assert set(pruned.cover.tolist()) <= set(full.cover.tolist())
@@ -189,7 +197,7 @@ class TestProperties:
         cut, n = random_bipartite_cut(seed)
         rng = np.random.default_rng(seed + 3)
         costs = CostVector(w=rng.integers(1, 10, size=n).astype(np.float64), mode=CostMode.UNIT)
-        pruned = prune_redundant(weighted_vertex_cover(cut, costs), cut, costs)
+        pruned = prune_redundant(weighted_vertex_cover(cut, costs.w), cut, costs.w)
         members = [int(v) for v in pruned.cover]
         for v in members:
             remaining = np.array([u for u in members if u != v], dtype=np.int64)
@@ -201,8 +209,8 @@ class TestProperties:
         cut, n = random_bipartite_cut(seed)
         rng = np.random.default_rng(seed + 4)
         costs = CostVector(w=rng.integers(1, 10, size=n).astype(np.float64), mode=CostMode.UNIT)
-        once = prune_redundant(weighted_vertex_cover(cut, costs), cut, costs)
-        twice = prune_redundant(once, cut, costs)
-        again = prune_redundant(weighted_vertex_cover(cut, costs), cut, costs)
+        once = prune_redundant(weighted_vertex_cover(cut, costs.w), cut, costs.w)
+        twice = prune_redundant(once, cut, costs.w)
+        again = prune_redundant(weighted_vertex_cover(cut, costs.w), cut, costs.w)
         assert once.cover.tolist() == twice.cover.tolist()
         assert once.cover.tolist() == again.cover.tolist()

@@ -2,12 +2,14 @@
 
 import heapq
 import importlib
+import math
 import pickle
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,14 +19,26 @@ from netdismantle import (
     DismantlingSolution,
     DismantlingTarget,
     Graph,
+    Partition,
+    components,
     cost_of,
     dismantle,
     full_mask,
+    iteration_budget,
     reinsert,
     replay_gcc_sizes,
+    sign_partition,
 )
+from netdismantle.cover import CoverResult, prune_redundant, weighted_vertex_cover
 from netdismantle.dismantle import SolutionMetadata, _build_solution, _UnionFind
-from netdismantle.errors import InternalInvariantError
+from netdismantle.errors import (
+    ComponentTooSmallError,
+    DegenerateSpectrumError,
+    InternalInvariantError,
+    InvalidCostError,
+)
+from netdismantle.rng import initial_vector, mix_seed, retry_seed
+from netdismantle.spectral import _UNDERFLOW, SpectralVector, _UnderflowCollapse
 from netdismantle.oracles import bfs_gcc_size, brute_force_min_dismantling
 
 from conftest import BUNDLED, load_bundled, random_connected_graph, random_graph
@@ -526,3 +540,334 @@ class TestReportedCost:
         sol = dismantle(g, unit(g), DismantlingTarget.absolute(2))
         assert cost_of(sol, unit(g), g) == 0
         assert cost_of(sol, CostVector.degree(g), g) == 0.0
+
+
+# The bisection loop as it was when every bisection made global passes:
+# components over all edges, the operator and fine-tune over the global
+# CSR with a mask, cut_edges over the global edge list, the cover on
+# dict-keyed global ids, and the power step with a separate diagonal.
+# Bodies are verbatim apart from the reference_ names.
+
+
+@dataclass(frozen=True)
+class ReferenceOperator:
+    nodes: np.ndarray
+    b: sp.csr_matrix
+    weighted_degree: np.ndarray
+    shift: float
+    scale: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.nodes)
+
+
+def reference_adjacency_flat(graph, nodes):
+    starts = graph.indptr[nodes]
+    counts = graph.indptr[nodes + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    idx = np.repeat(starts - offsets, counts) + np.arange(total)
+    flat_rows = np.repeat(np.arange(len(nodes)), counts)
+    return flat_rows, graph.indices[idx]
+
+
+def reference_build_operator(graph, mask, costs, component):
+    nodes = np.asarray(component, dtype=np.int64)
+    nodes = np.sort(nodes)
+    k = len(nodes)
+    if k < 2:
+        raise ComponentTooSmallError("component too small to bisect (need >= 2 nodes)")
+    active = np.asarray(mask, dtype=bool)
+    if not active[nodes].all():
+        raise ValueError("component contains masked-out nodes")
+    w = costs.w
+    if (w[nodes] < 0).any():
+        raise InvalidCostError("negative cost inside component")
+    if not (w[nodes] > 0).any():
+        raise InvalidCostError("component has all-zero costs, edge weights vanish")
+    local = np.full(graph.n, -1, dtype=np.int64)
+    local[nodes] = np.arange(k)
+    flat_rows, nbrs = reference_adjacency_flat(graph, nodes)
+    cols = local[nbrs]
+    keep = cols >= 0
+    rows = flat_rows[keep]
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
+    b = sp.csr_matrix((w[nodes[rows]] + w[nbrs[keep]], cols[keep], indptr), shape=(k, k))
+    weighted_degree = np.asarray(b.sum(axis=1)).ravel()
+    shift = 2.0 * float(weighted_degree.max())
+    return ReferenceOperator(
+        nodes=nodes,
+        b=b,
+        weighted_degree=weighted_degree,
+        shift=shift,
+        scale=shift - weighted_degree,
+    )
+
+
+def reference_power_iterate(op, x0, iterations):
+    from scipy.sparse._sparsetools import csr_matvec
+
+    b = op.b
+    k = op.size
+    x = x0.copy()
+    y = np.empty(k)
+    bx = np.empty(k)
+    for _ in range(iterations):
+        np.subtract(x, np.add.reduce(x) / k, out=x)
+        if math.sqrt(x.dot(x)) < _UNDERFLOW:
+            raise _UnderflowCollapse
+        bx.fill(0.0)  # the kernel adds into its output
+        csr_matvec(k, k, b.indptr, b.indices, b.data, x, bx)
+        np.multiply(op.scale, x, out=y)
+        np.add(y, bx, out=y)
+        norm = math.sqrt(y.dot(y))
+        if norm < _UNDERFLOW:
+            raise _UnderflowCollapse
+        np.divide(y, norm, out=x)
+    x = x - x.mean()
+    norm = float(np.linalg.norm(x))
+    if norm < _UNDERFLOW:
+        raise _UnderflowCollapse
+    return x / norm
+
+
+def reference_approx_fiedler(op, seed, iterations):
+    if iterations < 1:
+        raise ValueError("iterations must be at least 1")
+    x0 = initial_vector(seed, op.size)
+    try:
+        values = reference_power_iterate(op, x0, iterations)
+    except _UnderflowCollapse:
+        x1 = initial_vector(retry_seed(seed), op.size)
+        try:
+            values = reference_power_iterate(op, x1, iterations)
+        except _UnderflowCollapse:
+            raise DegenerateSpectrumError(
+                f"degenerate spectrum: power iteration collapsed twice on a "
+                f"{op.size}-node component"
+            ) from None
+    return SpectralVector(values=values, nodes=op.nodes, seed=seed, iterations=iterations)
+
+
+def reference_fine_tune_partition(graph, mask, component, partition, flip_log=None):
+    nodes = partition.nodes
+    active = np.asarray(mask, dtype=bool)
+    labels = np.full(graph.n, -1, dtype=np.int8)
+    labels[nodes] = partition.in_m.astype(np.int8)
+    size = [int(partition.size_mbar), int(partition.size_m)]  # size[lab]
+    flat_rows, flat_nbrs = reference_adjacency_flat(graph, nodes)
+    valid = active[flat_nbrs]
+    same = valid & (labels[flat_nbrs] == labels[nodes][flat_rows])
+    active_deg = np.bincount(flat_rows[valid], minlength=len(nodes))
+    same_count = np.bincount(flat_rows[same], minlength=len(nodes))
+    pending = [int(v) for v in nodes[(active_deg >= 1) & (same_count == 0)]]
+    changed = True
+    while changed and pending:
+        changed = False
+        still_pending: list[int] = []
+        for v in pending:
+            nbrs = graph.neighbors(v)
+            nbrs = nbrs[active[nbrs]]
+            lab = labels[v]
+            if len(nbrs) and (labels[nbrs] != lab).all():
+                if size[lab] > 1:
+                    labels[v] = 1 - lab
+                    size[lab] -= 1
+                    size[1 - lab] += 1
+                    changed = True
+                    if flip_log is not None:
+                        flip_log.append(v)
+                else:
+                    still_pending.append(v)
+        pending = still_pending
+    return Partition(nodes=nodes, in_m=labels[nodes] == 1)
+
+
+def reference_cut_edges(graph, mask, partition):
+    active = np.asarray(mask, dtype=bool)
+    labels = np.full(graph.n, -1, dtype=np.int8)
+    labels[partition.nodes] = partition.in_m.astype(np.int8)
+    e = graph.edges
+    if not len(e):
+        return e.reshape(0, 2)
+    lu = labels[e[:, 0]]
+    lv = labels[e[:, 1]]
+    keep = (
+        active[e[:, 0]]
+        & active[e[:, 1]]
+        & (lu >= 0)
+        & (lv >= 0)
+        & (lu != lv)
+    )
+    return e[keep]
+
+
+def reference_weighted_vertex_cover(cut, costs):
+    cut = np.asarray(cut, dtype=np.int64).reshape(-1, 2)
+    w = costs.w
+    if (w < 0).any():
+        raise InvalidCostError("cost vector has negative entries")
+    weight = w.tolist()
+    residual: dict[int, float] = {}
+    for u, v in cut.tolist():
+        ru = residual.setdefault(u, weight[u])
+        rv = residual.setdefault(v, weight[v])
+        if ru > 0.0 and rv > 0.0:
+            eps = min(ru, rv)
+            residual[u] = ru - eps
+            residual[v] = rv - eps
+    chosen = sorted(v for v, r in residual.items() if r == 0.0)
+    cover = np.array(chosen, dtype=np.int64)
+    return CoverResult(cover=cover, total_cost=float(w[cover].sum()) if len(cover) else 0.0)
+
+
+def reference_prune_redundant(result, cut, costs):
+    cut = np.asarray(cut, dtype=np.int64).reshape(-1, 2)
+    cover = set(result.cover.tolist())
+    partner: dict[int, list[int]] = {v: [] for v in cover}
+    for u, v in cut.tolist():
+        if u in partner:
+            partner[u].append(v)
+        if v in partner:
+            partner[v].append(u)
+    candidates = [v for v in cover if all(other in cover for other in partner[v])]
+    w = costs.w
+    weight = w.tolist()
+    for v in sorted(candidates, key=lambda x: (-weight[x], -x)):
+        if all(other in cover for other in partner[v]):
+            cover.discard(v)
+    kept = np.array(sorted(cover), dtype=np.int64)
+    return CoverResult(cover=kept, total_cost=float(w[kept].sum()) if len(kept) else 0.0)
+
+
+def reference_dismantle(graph, costs, target, seed=0, iter_multiplier=1, fine_tuning=True):
+    """Returns (deletion order, bisections, power iterations)."""
+    costs.validate(graph)
+    mask = full_mask(graph.n)
+    bisections = 0
+    power_iterations = 0
+    decomposition = components(graph, mask)
+    batches: list[np.ndarray] = []
+    while decomposition.gcc_size > target.c:
+        comp = decomposition.members(decomposition.gcc_id)
+        if len(comp) == 2:
+            partition = Partition(nodes=comp, in_m=np.array([True, False]))
+        else:
+            operator = reference_build_operator(graph, mask, costs, comp)
+            iterations = iteration_budget(len(comp), iter_multiplier)
+            vector = reference_approx_fiedler(operator, mix_seed(seed, bisections), iterations)
+            power_iterations += iterations
+            partition = sign_partition(vector)
+            if fine_tuning:
+                partition = reference_fine_tune_partition(graph, mask, comp, partition)
+        cut = reference_cut_edges(graph, mask, partition)
+        result = reference_prune_redundant(reference_weighted_vertex_cover(cut, costs), cut, costs)
+        if len(result.cover) == 0:
+            raise InternalInvariantError(
+                "empty cover while the largest component still exceeds the target"
+            )
+        mask[result.cover] = False
+        batches.append(result.cover)
+        bisections += 1
+        decomposition = components(graph, mask)
+    if decomposition.gcc_size > target.c:
+        raise InternalInvariantError("run ended above the target component size")
+    order = np.concatenate(batches) if batches else np.empty(0, dtype=np.int64)
+    return order.tolist(), bisections, power_iterations
+
+
+def assert_same_run(graph, costs, target, seed, fine_tuning):
+    ref = reference_dismantle(graph, costs, target, seed=seed, fine_tuning=fine_tuning)
+    sol = dismantle(graph, costs, target, seed=seed, fine_tuning=fine_tuning)
+    md = sol.metadata
+    assert ([v for v, _, _ in sol.removal_order], md.bisections, md.power_iterations) == ref
+    final = components(graph, mask_without(graph, sol.removed)).gcc_size
+    assert sol.final_gcc == final <= target.c
+
+
+@st.composite
+def component_mixes(draw):
+    """A graph made of drawn connected blocks under shuffled ids: blocks
+    above and below C, a repeated size for equal-size ties, two-node
+    blocks and isolated nodes (which cost 0 under degree costs)."""
+    sizes = draw(st.lists(st.integers(3, 16), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        sizes.append(sizes[0])
+    sizes += [2] * draw(st.integers(0, 3)) + [1] * draw(st.integers(0, 3))
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(sum(sizes))
+    edges, start = [], 0
+    for size in sizes:
+        block = ids[start : start + size]
+        start += size
+        if size > 1:
+            local = random_connected_graph(int(rng.integers(1 << 30)), size, extra=0.2)
+            edges.append(block[local.edges])
+    edges = np.concatenate(edges) if edges else np.empty((0, 2), dtype=np.int64)
+    return Graph.from_edges(edges, n=len(ids)), seed
+
+
+class TestLoopReference:
+    """The loop bisects one component's subgraph, splits only that
+    component afterwards and covers on local ids; the loop that made
+    global passes every bisection is the oracle."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("mode", ["unit", "degree"])
+    @pytest.mark.parametrize("fine", [True, False])
+    def test_bundled(self, name, mode, fine):
+        g = load_bundled(name)
+        costs = CostVector.for_mode(g, mode)
+        assert_same_run(g, costs, DismantlingTarget.from_fraction(g.n), seed=g.n, fine_tuning=fine)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        mix=component_mixes(),
+        c=st.integers(1, 8),
+        degree=st.booleans(),
+        fine=st.booleans(),
+    )
+    def test_drawn_component_mixes(self, mix, c, degree, fine):
+        g, seed = mix
+        costs = CostVector.degree(g) if degree else unit(g)
+        assert_same_run(g, costs, DismantlingTarget.absolute(c), seed=seed, fine_tuning=fine)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 100_000), n=st.integers(2, 30), zeros=st.floats(0.0, 0.5))
+    def test_cover_on_drawn_cuts(self, seed, n, zeros):
+        # costs with zeros, and covers that also hold nodes off the cut
+        rng = np.random.default_rng(seed)
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        cut = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+        w = rng.integers(1, 6, size=n).astype(np.float64)
+        w[rng.random(n) < zeros] = 0.0
+        costs = CostVector(w=w, mode=CostMode.UNIT)
+        mine = weighted_vertex_cover(cut, w)
+        ref = reference_weighted_vertex_cover(cut, costs)
+        assert mine.cover.tolist() == ref.cover.tolist()
+        assert mine.total_cost == ref.total_cost
+        extra = np.flatnonzero(rng.random(n) < 0.3)
+        for result in (mine, CoverResult(cover=np.union1d(mine.cover, extra), total_cost=0.0)):
+            pruned = prune_redundant(result, cut, w)
+            expected = reference_prune_redundant(result, cut, costs)
+            assert pruned.cover.tolist() == expected.cover.tolist()
+            assert pruned.total_cost == expected.total_cost
+
+    def test_components_runs_once_per_dismantle(self, monkeypatch):
+        module = importlib.import_module("netdismantle.dismantle")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return components(*args, **kwargs)
+
+        monkeypatch.setattr(module, "components", counted)
+        g = load_bundled("sbm_600.txt")
+        sol = dismantle(g, unit(g), DismantlingTarget.from_fraction(g.n), seed=1)
+        assert sol.metadata.bisections > 5
+        assert len(calls) == 1

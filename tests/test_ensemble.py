@@ -20,6 +20,7 @@ from netdismantle import (
 from netdismantle import ensemble
 from netdismantle.ensemble import MemberResult, _best_index
 from netdismantle.errors import EnsembleMemberError
+from netdismantle.rng import MASK64
 
 from conftest import random_connected_graph
 
@@ -148,8 +149,10 @@ class TestRunEnsemble:
         bad = Graph.from_edges([(0, 1)], n=3)
         costs = CostVector(w=np.ones(2), mode=self.costs.mode)  # wrong length
         with pytest.raises(EnsembleMemberError) as excinfo:
-            run_ensemble(bad, costs, self.target, EnsembleConfig(k=2))
+            run_ensemble(bad, costs, self.target, EnsembleConfig(k=2, base_seed=MASK64))
         assert excinfo.value.member_index == 0
+        assert excinfo.value.seed == MASK64
+        assert f"(seed {MASK64})" in str(excinfo.value)
 
     def test_member_timings_recorded(self):
         report = run_ensemble(

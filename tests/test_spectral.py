@@ -40,7 +40,7 @@ def unit(g):
 class TestOperator:
     def test_single_edge_unit(self):
         g = Graph.from_edges([(0, 1)])
-        op = build_operator(g, full_mask(2), unit(g), np.array([0, 1]))
+        op = build_operator(g.subgraph(np.array([0, 1])), unit(g))
         assert op.b[0, 1] == 2.0
         assert op.weighted_degree.tolist() == [2.0, 2.0]
         assert op.shift == 4.0
@@ -48,7 +48,7 @@ class TestOperator:
     def test_path_costs_121(self):
         g = Graph.from_edges([(0, 1), (1, 2)])
         costs = CostVector(w=np.array([1.0, 2.0, 1.0]), mode=CostMode.UNIT)
-        op = build_operator(g, full_mask(3), costs, np.arange(3))
+        op = build_operator(g.subgraph(np.arange(3)), costs)
         assert op.b[0, 1] == 3.0
         assert op.b[1, 2] == 3.0
         assert op.weighted_degree.tolist() == [3.0, 6.0, 3.0]
@@ -57,14 +57,14 @@ class TestOperator:
     def test_rejects_tiny_component(self):
         g = Graph.from_edges([(0, 1)])
         with pytest.raises(ComponentTooSmallError):
-            build_operator(g, full_mask(2), unit(g), np.array([0]))
+            build_operator(g.subgraph(np.array([0])), unit(g))
 
     def test_laplacian_annihilates_ones_and_is_psd(self):
         rng = np.random.default_rng(11)
         for seed in range(20):
             g = random_connected_graph(seed, int(rng.integers(3, 50)))
             costs = CostVector.degree(g)
-            op = build_operator(g, full_mask(g.n), costs, np.arange(g.n))
+            op = build_operator(g.subgraph(np.arange(g.n)), costs)
             ones = np.ones(op.size)
             assert np.abs(op.laplacian_matvec(ones)).max() < 1e-9
             for _ in range(5):
@@ -73,9 +73,7 @@ class TestOperator:
 
     def test_local_ids_follow_sorted_globals(self):
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
-        mask = full_mask(5)
-        mask[0] = False
-        op = build_operator(g, mask, unit(g), np.array([4, 2, 1, 3]))
+        op = build_operator(g.subgraph(np.array([4, 2, 1, 3])), unit(g))
         assert op.nodes.tolist() == [1, 2, 3, 4]
 
 
@@ -99,21 +97,21 @@ class TestApproxFiedler:
     def test_unit_norm_and_zero_mean(self):
         for seed in range(5):
             g = random_connected_graph(seed, 40)
-            op = build_operator(g, full_mask(g.n), unit(g), np.arange(g.n))
+            op = build_operator(g.subgraph(np.arange(g.n)), unit(g))
             v = approx_fiedler(op, seed, iteration_budget(g.n, 1))
             assert abs(np.linalg.norm(v.values) - 1.0) < 1e-12
             assert abs(v.values.mean()) < 1e-9 * np.sqrt(g.n)
 
     def test_deterministic_bitwise(self):
         g = random_connected_graph(3, 30)
-        op = build_operator(g, full_mask(g.n), unit(g), np.arange(g.n))
+        op = build_operator(g.subgraph(np.arange(g.n)), unit(g))
         a = approx_fiedler(op, 42, 100)
         b = approx_fiedler(op, 42, 100)
         assert (a.values == b.values).all()
 
     def test_two_triangles_bridge_split(self):
         g = Graph.from_edges([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
-        op = build_operator(g, full_mask(6), unit(g), np.arange(6))
+        op = build_operator(g.subgraph(np.arange(6)), unit(g))
         for seed in range(5):
             v = approx_fiedler(op, seed, iteration_budget(6, 1))
             signs = v.values < 0
@@ -128,7 +126,7 @@ class TestApproxFiedler:
         # within the budget; below it no start vector can converge
         for g, costs, budget, seed in fiedler_test_instances(10, max_n=60):
             n = g.n
-            op = build_operator(g, full_mask(n), costs, np.arange(n))
+            op = build_operator(g.subgraph(np.arange(n)), costs)
             v = approx_fiedler(op, seed, budget)
             _, exact = dense_fiedler(g, full_mask(n), costs, np.arange(n))
             cosine = abs(float(v.values @ exact))
@@ -138,13 +136,13 @@ class TestApproxFiedler:
         # cI - L maps every zero-mean vector on 2 nodes to zero, so both
         # starts collapse and the contract error surfaces
         g = Graph.from_edges([(0, 1)])
-        op = build_operator(g, full_mask(2), unit(g), np.array([0, 1]))
+        op = build_operator(g.subgraph(np.array([0, 1])), unit(g))
         with pytest.raises(DegenerateSpectrumError, match="degenerate spectrum"):
             approx_fiedler(op, 0, 18)
 
     def test_rejects_zero_iterations(self):
         g = Graph.from_edges([(0, 1), (1, 2)])
-        op = build_operator(g, full_mask(3), unit(g), np.arange(3))
+        op = build_operator(g.subgraph(np.arange(3)), unit(g))
         with pytest.raises(ValueError):
             approx_fiedler(op, 0, 0)
 
@@ -153,7 +151,7 @@ class TestApproxFiedler:
         # Laplacian bisection computed densely
         for seed in range(5):
             g = random_connected_graph(100 + seed, 25)
-            op = build_operator(g, full_mask(g.n), unit(g), np.arange(g.n))
+            op = build_operator(g.subgraph(np.arange(g.n)), unit(g))
             v = approx_fiedler(op, seed, iteration_budget(g.n, 2))
             _, exact = dense_fiedler(g, full_mask(g.n), unit(g), np.arange(g.n))
             agreement = np.sign(v.values) == np.sign(exact)
@@ -214,8 +212,8 @@ def assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def assert_hot_path_matches_reference(graph, mask, costs, comp, seed):
-    op = build_operator(graph, mask, costs, comp)
+def assert_hot_path_matches_reference(graph, costs, comp, seed):
+    op = build_operator(graph.subgraph(comp), costs)
     want = reference_b(graph, costs, op.nodes)
     for name in ("indptr", "indices", "data"):
         assert_same_bytes(getattr(op.b, name), getattr(want, name))
@@ -243,7 +241,7 @@ class TestHotPathReference:
         decomposition = components(graph, mask)
         comp = decomposition.members(decomposition.gcc_id)
         costs = CostVector.for_mode(graph, mode)
-        assert_hot_path_matches_reference(graph, mask, costs, comp, seed=graph.n)
+        assert_hot_path_matches_reference(graph, costs, comp, seed=graph.n)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -264,7 +262,7 @@ class TestHotPathReference:
             decomposition = components(graph, mask)
         comp = decomposition.members(decomposition.gcc_id)
         costs = CostVector.for_mode(graph, mode)
-        assert_hot_path_matches_reference(graph, mask, costs, comp, seed=seed)
+        assert_hot_path_matches_reference(graph, costs, comp, seed=seed)
 
 
 class TestSignPartition:
@@ -321,10 +319,10 @@ def naive_fine_tune(graph, mask, partition):
     return Partition(nodes=partition.nodes, in_m=in_m)
 
 
-def count_cut(graph, mask, partition):
+def count_cut(graph, partition):
     from netdismantle import cut_edges
 
-    return len(cut_edges(graph, mask, partition))
+    return len(cut_edges(graph.subgraph(partition.nodes), partition))
 
 
 class TestFineTune:
@@ -333,7 +331,7 @@ class TestFineTune:
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
         p = Partition(nodes=np.arange(4), in_m=np.array([True, True, False, False]))
         flips: list[int] = []
-        q = fine_tune_partition(g, full_mask(4), np.arange(4), p, flip_log=flips)
+        q = fine_tune_partition(g.subgraph(np.arange(4)), p, flip_log=flips)
         assert flips == []
         assert (q.in_m == p.in_m).all()
 
@@ -344,10 +342,10 @@ class TestFineTune:
         g = Graph.from_edges([(0, 1), (1, 2)])
         p = Partition(nodes=np.arange(3), in_m=np.array([False, True, False]))
         flips: list[int] = []
-        q = fine_tune_partition(g, full_mask(3), np.arange(3), p, flip_log=flips)
+        q = fine_tune_partition(g.subgraph(np.arange(3)), p, flip_log=flips)
         assert flips == [0]
         assert q.in_m.tolist() == [True, True, False]
-        assert count_cut(g, full_mask(3), q) == 1
+        assert count_cut(g, q) == 1
 
     def test_alternating_path_settles_to_one_cut(self):
         # path 0-1-2-3, M = {1, 3}: node 0 joins M, then node 3 leaves it;
@@ -355,10 +353,10 @@ class TestFineTune:
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
         p = Partition(nodes=np.arange(4), in_m=np.array([False, True, False, True]))
         flips: list[int] = []
-        q = fine_tune_partition(g, full_mask(4), np.arange(4), p, flip_log=flips)
+        q = fine_tune_partition(g.subgraph(np.arange(4)), p, flip_log=flips)
         assert flips == [0, 3]
         assert q.in_m.tolist() == [True, True, False, False]
-        assert count_cut(g, full_mask(4), q) == 1
+        assert count_cut(g, q) == 1
 
     def test_star_center_with_leaf_company_is_pinned(self):
         # center 0 plus leaf 1 in M: the same-labeled leaf blocks the
@@ -367,28 +365,28 @@ class TestFineTune:
         g = Graph.from_edges([(0, i) for i in range(1, 6)])
         in_m = np.array([True, True, False, False, False, False])
         p = Partition(nodes=np.arange(6), in_m=in_m)
-        before = count_cut(g, full_mask(6), p)
+        before = count_cut(g, p)
         flips: list[int] = []
-        q = fine_tune_partition(g, full_mask(6), np.arange(6), p, flip_log=flips)
+        q = fine_tune_partition(g.subgraph(np.arange(6)), p, flip_log=flips)
         assert before == 4
         assert q.in_m[0]
         assert flips == [2, 3, 4]
         assert q.in_m.tolist() == [True, True, True, True, True, False]
-        assert count_cut(g, full_mask(6), q) == 1
+        assert count_cut(g, q) == 1
 
     def test_leaves_drain_toward_hub_side(self):
         # all leaves opposite the hub flip one by one until one remains
         g = Graph.from_edges([(0, i) for i in range(1, 6)])
         in_m = np.array([False, True, True, True, True, True])
         p = Partition(nodes=np.arange(6), in_m=in_m)
-        q = fine_tune_partition(g, full_mask(6), np.arange(6), p)
+        q = fine_tune_partition(g.subgraph(np.arange(6)), p)
         assert q.size_m == 1
-        assert count_cut(g, full_mask(6), q) == 1
+        assert count_cut(g, q) == 1
 
     def test_zero_degree_node_never_flips(self):
         g = Graph.from_edges([(0, 1)], n=3)
         p = Partition(nodes=np.arange(3), in_m=np.array([True, False, True]))
-        q = fine_tune_partition(g, full_mask(3), np.arange(3), p)
+        q = fine_tune_partition(g.subgraph(np.arange(3)), p)
         assert q.in_m[2]
 
     @settings(max_examples=60, deadline=None)
@@ -400,7 +398,7 @@ class TestFineTune:
         if in_m.all() or not in_m.any():
             in_m[0] = not in_m[0]
         p = Partition(nodes=np.arange(n), in_m=in_m)
-        fast = fine_tune_partition(g, full_mask(n), np.arange(n), p)
+        fast = fine_tune_partition(g.subgraph(np.arange(n)), p)
         slow = naive_fine_tune(g, full_mask(n), p)
         assert (fast.in_m == slow.in_m).all()
 
@@ -413,11 +411,10 @@ class TestFineTune:
         if in_m.all() or not in_m.any():
             in_m[0] = not in_m[0]
         p = Partition(nodes=np.arange(n), in_m=in_m)
-        mask = full_mask(n)
-        before = count_cut(g, mask, p)
+        before = count_cut(g, p)
         flips: list[int] = []
-        q = fine_tune_partition(g, mask, np.arange(n), p, flip_log=flips)
-        after = count_cut(g, mask, q)
+        q = fine_tune_partition(g.subgraph(np.arange(n)), p, flip_log=flips)
+        after = count_cut(g, q)
         assert after <= before
         if flips:
             assert after < before
@@ -426,7 +423,7 @@ class TestFineTune:
         current = before
         for v in flips:
             labels[v] = ~labels[v]
-            step = count_cut(g, mask, Partition(nodes=p.nodes, in_m=labels))
+            step = count_cut(g, Partition(nodes=p.nodes, in_m=labels))
             assert current - step == g.degree[v]
             current = step
         assert current == after
