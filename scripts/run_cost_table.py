@@ -121,11 +121,11 @@ def main(argv: list[str] | None = None) -> int:
                 cost = cost_of(solution, costs, graph)
                 print(
                     f"{path.stem:<16} {mode.value:<7} {method:<18} "
-                    f"{cost:>10.4f} {len(solution.removed):>8} {solution.final_gcc:>6} {seconds:>8.2f}"
+                    f"{cost:>10.4f} {solution.removed_count:>8} {solution.final_gcc:>6} {seconds:>8.2f}"
                 )
                 csv_rows.append(
                     f"{path.stem},{mode.value},{method},{cost!r},"
-                    f"{len(solution.removed)},{solution.final_gcc},{seconds:.4f}"
+                    f"{solution.removed_count},{solution.final_gcc},{seconds:.4f}"
                 )
 
     (out_dir / "cost_table.csv").write_text("\n".join(csv_rows) + "\n")

@@ -45,12 +45,9 @@ from netdismantle import (
 
 
 def sign_balance(low, high) -> dict[str, float]:
-    grid = np.unique(
-        np.concatenate(
-            [[c for c, _ in low.trajectory], [c for c, _ in high.trajectory]]
-        )
-    )
-    hist = gcc_difference_histogram(low.trajectory, high.trajectory, grid)
+    low_curve, high_curve = low.trajectory, high.trajectory
+    grid = np.unique(np.concatenate([[c for c, _ in low_curve], [c for c, _ in high_curve]]))
+    hist = gcc_difference_histogram(low_curve, high_curve, grid)
     return {
         "positive": hist.positive_fraction,
         "zero": hist.zero_fraction,
@@ -128,10 +125,10 @@ def main(argv: list[str] | None = None) -> int:
     (out_dir / "sign_balance.csv").write_text("\n".join(balance_rows) + "\n")
 
     # settled = every member produced the same removal trajectory
-    settled = {
-        m: all(r.solution.trajectory == runs[m][0].solution.trajectory for r in runs[m])
-        for m in multipliers
-    }
+    settled = {}
+    for m in multipliers:
+        first = runs[m][0].solution.trajectory
+        settled[m] = all(r.solution.trajectory == first for r in runs[m][1:])
     threshold = None
     for i, multiplier in enumerate(multipliers):
         if all(settled[m] for m in multipliers[i:]):

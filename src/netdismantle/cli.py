@@ -186,7 +186,7 @@ def cmd_dismantle(args: argparse.Namespace) -> int:
         "best_index": report.best_index,
         "best_seed": report.best.seed,
         "final_gcc": best.final_gcc,
-        "removed_count": len(best.removed),
+        "removed_count": best.removed_count,
         "target_c": target.c,
         "cost_summary": report.cost_summary(),
         "member_seconds": [member.seconds for member in report.members],
@@ -245,17 +245,9 @@ def cmd_variability(args: argparse.Namespace) -> int:
     for multiplier in multipliers[1:]:
         positives = zeros = negatives = 0
         for low, high in zip(runs[base], runs[multiplier]):
-            grid = np.unique(
-                np.concatenate(
-                    [
-                        [c for c, _ in low.solution.trajectory],
-                        [c for c, _ in high.solution.trajectory],
-                    ]
-                )
-            )
-            hist = gcc_difference_histogram(
-                low.solution.trajectory, high.solution.trajectory, grid
-            )
+            low_curve, high_curve = low.solution.trajectory, high.solution.trajectory
+            grid = np.unique(np.concatenate([[c for c, _ in low_curve], [c for c, _ in high_curve]]))
+            hist = gcc_difference_histogram(low_curve, high_curve, grid)
             _write(
                 out_dir / "histograms",
                 f"D{base}_vs_D{multiplier}_member{low.index}.csv",
@@ -342,7 +334,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "iter_multiplier": settings.iter_multiplier,
         "bisections": solution.metadata.bisections,
         "power_iterations": solution.metadata.power_iterations,
-        "removed_count": len(solution.removed),
+        "removed_count": solution.removed_count,
         "reported_cost": cost_of(solution, costs, graph),
         "parse_seconds": parse_seconds,
         "total_seconds": elapsed,

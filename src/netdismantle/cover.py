@@ -50,8 +50,9 @@ def weighted_vertex_cover(cut: np.ndarray, weight: np.ndarray) -> CoverResult:
         raise InvalidCostError("cost vector has negative entries")
     # the sweep runs on the endpoints' ranks, lists of the cut's nodes only
     ends, pairs = np.unique(cut, return_inverse=True)
+    pairs = pairs.reshape(-1, 2)
     residual = weight[ends].tolist()
-    for u, v in pairs.reshape(-1, 2).tolist():
+    for u, v in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()):
         ru, rv = residual[u], residual[v]
         if ru > 0.0 and rv > 0.0:
             eps = min(ru, rv)

@@ -76,13 +76,16 @@ class SolutionMetadata:
 class DismantlingSolution:
     """Outcome of one run.
 
-    removal_order lists (node, cost, gcc_after) in deletion order, where
-    gcc_after is the largest-component size once that node and all
-    earlier ones are gone.  trajectory pairs cumulative cost with gcc
-    size, starting from (0, initial gcc) before any removal.
+    The solution keeps three arrays in deletion order: the removed node
+    ids, their costs, and gcc_after, the largest-component size once that
+    node and all earlier ones are gone.  removal_order, trajectory and
+    removed are views built from them on each read and kept nowhere:
+    removal_order lists (node, cost, gcc_after), trajectory pairs
+    cumulative cost with gcc size, starting from (0, initial gcc) before
+    any removal, and removed is the node set.
 
-    Both come from replaying the deletion order over the graph, which
-    happens once, on the first read of removal_order, trajectory or
+    gcc_after comes from replaying the deletion order over the graph,
+    which happens once, on the first read of removal_order, trajectory or
     final_gcc.  The replay then lets go of the graph, and a pickled
     solution is always a replayed one.
     """
@@ -94,64 +97,56 @@ class DismantlingSolution:
         node_costs: np.ndarray,
         metadata: SolutionMetadata,
     ):
-        self.removed = frozenset(order.tolist())
         self.total_cost = float(node_costs.sum())
         self.metadata = metadata
-        self._pending: tuple[Graph, np.ndarray, np.ndarray] | None = (graph, order, node_costs)
+        self._order = order
+        self._costs = node_costs
+        self._gcc_after: np.ndarray | None = None
+        self._graph: Graph | None = graph
 
-    def _replay(self) -> None:
-        if self._pending is None:
-            return
-        started = time.perf_counter()
-        graph, order, node_costs = self._pending
-        after, initial = replay_gcc_sizes(graph, order)
-        if initial != self.metadata.initial_gcc:
-            raise InternalInvariantError("replayed initial gcc disagrees with direct computation")
-        after = after.tolist()
-        costs = node_costs.tolist()
-        self._removal_order = list(zip(order.tolist(), costs, after))
-        self._trajectory = list(zip(accumulate(costs, initial=0.0), [initial, *after]))
-        self._pending = None
-        self.metadata.phase_seconds["replay"] = time.perf_counter() - started
+    def _replayed_gcc_after(self) -> np.ndarray:
+        if self._gcc_after is None:
+            started = time.perf_counter()
+            after, initial = replay_gcc_sizes(self._graph, self._order)
+            if initial != self.metadata.initial_gcc:
+                raise InternalInvariantError("replayed initial gcc disagrees with direct computation")
+            self._gcc_after, self._graph = after, None
+            self.metadata.phase_seconds["replay"] = time.perf_counter() - started
+        return self._gcc_after
+
+    @property
+    def removed(self) -> frozenset[int]:
+        # inserted in deletion order, so cost_of sums in one fixed order
+        return frozenset(self._order.tolist())
+
+    @property
+    def removed_count(self) -> int:
+        return len(self._order)
 
     @property
     def removal_order(self) -> list[tuple[int, float, int]]:
-        self._replay()
-        return self._removal_order
+        after = self._replayed_gcc_after()
+        return list(zip(self._order.tolist(), self._costs.tolist(), after.tolist()))
 
     @property
     def trajectory(self) -> list[tuple[float, int]]:
-        self._replay()
-        return self._trajectory
+        after = self._replayed_gcc_after().tolist()
+        cumulative = accumulate(self._costs.tolist(), initial=0.0)
+        return list(zip(cumulative, [self.metadata.initial_gcc, *after]))
 
     @property
     def final_gcc(self) -> int:
-        return self.trajectory[-1][1]
+        after = self._replayed_gcc_after()
+        return int(after[-1]) if len(after) else self.metadata.initial_gcc
 
-    def _deletion_order(self) -> list[int]:
+    def _deletion_order(self) -> np.ndarray:
         """Removed node ids in deletion order, without forcing the replay."""
-        if self._pending is not None:
-            return self._pending[1].tolist()
-        return [v for v, _, _ in self._removal_order]
+        return self._order
 
     def __getstate__(self) -> dict:
-        # the replayed fields under their public names: no graph or order
-        # array travels back from a pool worker, and removed is rebuilt
-        return {
-            "removal_order": self.removal_order,
-            "total_cost": self.total_cost,
-            "trajectory": self.trajectory,
-            "metadata": self.metadata,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        # inserted in deletion order, as __init__ does, so it iterates alike
-        self.removed = frozenset(v for v, _, _ in state["removal_order"])
-        self.total_cost = state["total_cost"]
-        self.metadata = state["metadata"]
-        self._pending = None
-        self._removal_order = state["removal_order"]
-        self._trajectory = state["trajectory"]
+        # the replay drops the graph, so none travels back from a pool worker
+        self._replayed_gcc_after()
+        return vars(self)
 
 
 class _UnionFind:
@@ -337,7 +332,7 @@ def reinsert(
     rescans a row.
     """
     t0 = time.perf_counter()
-    removed = np.array(sorted(solution.removed), dtype=np.int64)
+    removed = np.sort(solution._deletion_order())
     base = full_mask(graph.n)
     base[removed] = False
     uf, _ = _UnionFind.over_components(graph, base)
@@ -370,9 +365,10 @@ def reinsert(
                 roots[u].append(v)
     reinsert_seconds = time.perf_counter() - t0
 
-    order = np.array(
-        [v for v in solution._deletion_order() if v in still_removed], dtype=np.int64
-    )
+    order = solution._deletion_order()
+    keep = np.zeros(graph.n, dtype=bool)
+    keep[list(still_removed)] = True
+    order = order[keep[order]]
     metadata = replace(
         solution.metadata,
         reinserted=True,
@@ -390,7 +386,7 @@ def cost_of(solution: DismantlingSolution, costs: CostVector, graph: Graph) -> i
     """Reported cost of a solution: node count under unit costs, removed
     degree mass as a fraction of total degree mass under degree costs."""
     if costs.mode is CostMode.UNIT:
-        return len(solution.removed)
+        return solution.removed_count
     total = costs.total()
     if total == 0.0:
         return 0.0

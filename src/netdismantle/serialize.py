@@ -86,7 +86,7 @@ def _summary(solution: DismantlingSolution, reported_cost: float | int) -> dict:
     return {
         "reported_cost": reported_cost,
         "total_cost": solution.total_cost,
-        "removed_count": len(solution.removed),
+        "removed_count": solution.removed_count,
         "final_gcc": solution.final_gcc,
         "metadata": {
             "seed": meta.seed,
@@ -151,7 +151,7 @@ def report_to_dict(report: EnsembleReport) -> dict:
                 "seed": member.seed,
                 "reported_cost": member.reported_cost,
                 "final_gcc": member.final_gcc,
-                "removed_count": len(member.solution.removed),
+                "removed_count": member.solution.removed_count,
             }
             for member in report.members
         ],

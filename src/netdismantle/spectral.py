@@ -33,6 +33,9 @@ from .rng import initial_vector, retry_seed
 
 # norms below this are treated as a collapse to zero
 _UNDERFLOW = 1e-200
+# OpenBLAS threads a dot product above this length, and its result then
+# depends on the thread count
+_DOT_CHUNK = 10_000
 
 
 class _UnderflowCollapse(Exception):
@@ -111,6 +114,15 @@ class SpectralVector:
     iterations: int
 
 
+def _sumsq(x: np.ndarray) -> float:
+    """x.dot(x), independent of the BLAS thread count: vectors longer
+    than one chunk sum their chunks' dots exactly rounded with fsum."""
+    if len(x) <= _DOT_CHUNK:
+        return float(x.dot(x))
+    chunks = (x[i:i + _DOT_CHUNK] for i in range(0, len(x), _DOT_CHUNK))
+    return math.fsum(float(c.dot(c)) for c in chunks)
+
+
 def _power_iterate(op: WeightedLaplacianOperator, x0: np.ndarray, iterations: int) -> np.ndarray:
     indptr, indices, data = op.step
     k = op.size
@@ -118,17 +130,17 @@ def _power_iterate(op: WeightedLaplacianOperator, x0: np.ndarray, iterations: in
     y = np.empty(k)
     for _ in range(iterations):
         np.subtract(x, np.add.reduce(x) / k, out=x)
-        if math.sqrt(x.dot(x)) < _UNDERFLOW:
+        if math.sqrt(_sumsq(x)) < _UNDERFLOW:
             raise _UnderflowCollapse
         y.fill(0.0)  # the kernel adds into its output
         csr_matvec(k, k, indptr, indices, data, x, y)
-        norm = math.sqrt(y.dot(y))
+        norm = math.sqrt(_sumsq(y))
         if norm < _UNDERFLOW:
             raise _UnderflowCollapse
         np.divide(y, norm, out=x)
     # one final deflation so the result is exactly zero mean, unit norm
     x = x - x.mean()
-    norm = float(np.linalg.norm(x))
+    norm = math.sqrt(_sumsq(x))
     if norm < _UNDERFLOW:
         raise _UnderflowCollapse
     return x / norm

@@ -1,5 +1,7 @@
 """Ensemble runs, best-member selection, and trajectory comparison."""
 
+import gc
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -22,7 +24,7 @@ from netdismantle.ensemble import MemberResult, _best_index
 from netdismantle.errors import EnsembleMemberError
 from netdismantle.rng import MASK64
 
-from conftest import random_connected_graph
+from conftest import load_bundled, random_connected_graph
 
 
 def fake_member(index, cost, gcc):
@@ -171,6 +173,28 @@ class TestRunEnsemble:
             assert a.solution.metadata.reinserted
             assert not b.solution.metadata.reinserted
             assert a.reported_cost <= b.reported_cost
+
+    # a removal row is three 8-byte array entries; tuple rows and a kept
+    # frozenset took about 360 bytes
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_report_retains_few_bytes_per_removal(self, workers):
+        g = load_bundled("sbm_600.txt")
+        costs = CostVector.degree(g)
+        target = DismantlingTarget.from_fraction(g.n)
+        config = EnsembleConfig(k=8, base_seed=0, workers=workers)
+        tracemalloc.start()
+        try:
+            report = run_ensemble(g, costs, target, config)
+            rows = sum(m.solution.removed_count for m in report.members)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del report
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert rows > 0
+        assert held / rows <= 96
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,18 @@
 """Weighted operator, power iteration, partitioning, fine-tuning."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netdismantle
 from netdismantle import (
     CostMode,
     CostVector,
@@ -27,6 +34,7 @@ from netdismantle.spectral import (
     _UNDERFLOW,
     SpectralVector,
     _power_iterate,
+    _sumsq,
     _UnderflowCollapse,
 )
 
@@ -263,6 +271,46 @@ class TestHotPathReference:
         comp = decomposition.members(decomposition.gcc_id)
         costs = CostVector.for_mode(graph, mode)
         assert_hot_path_matches_reference(graph, costs, comp, seed=seed)
+
+
+# Runs one power iteration on a 30k-node ring with random chords, far above
+# the length at which OpenBLAS threads a dot product, and prints the
+# iterate's sha256.
+THREADED_ITERATE_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from netdismantle import CostVector, Graph
+from netdismantle.rng import initial_vector
+from netdismantle.spectral import _power_iterate, build_operator
+n = 30_000
+ring = np.arange(n)
+chords = np.random.default_rng(7).integers(0, n, size=(2 * n, 2))
+graph = Graph.from_edges(np.concatenate([np.column_stack([ring, (ring + 1) % n]), chords]), n=n)
+op = build_operator(graph.subgraph(ring), CostVector.degree(graph))
+x = _power_iterate(op, initial_vector(1, n), 40)
+sys.stdout.write(hashlib.sha256(x.tobytes()).hexdigest())
+"""
+
+
+def test_sumsq_is_the_plain_dot_up_to_one_chunk():
+    x = np.random.default_rng(3).standard_normal(25_001)
+    for k in (0, 1, 9_999, 10_000):
+        assert _sumsq(x[:k]).hex() == float(x[:k].dot(x[:k])).hex()
+    chunks = [x[:10_000], x[10_000:20_000], x[20_000:]]
+    assert _sumsq(x) == math.fsum(float(c.dot(c)) for c in chunks)
+
+
+def test_power_iteration_independent_of_blas_threads():
+    src = str(Path(netdismantle.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", THREADED_ITERATE_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        digests.append(proc.stdout)
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 class TestSignPartition:
