@@ -34,7 +34,6 @@ from .errors import (
     EnsembleMemberError,
     InternalInvariantError,
     InvalidCostError,
-    OracleBudgetError,
     ParseError,
 )
 from .graph import ComponentDecomposition, Graph, Subgraph, components, full_mask, gcc_size, parse_edge_list
@@ -74,7 +73,6 @@ __all__ = [
     "EnsembleMemberError",
     "InternalInvariantError",
     "InvalidCostError",
-    "OracleBudgetError",
     "ParseError",
     "ComponentDecomposition",
     "Graph",

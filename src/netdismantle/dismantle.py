@@ -222,10 +222,12 @@ def replay_gcc_sizes(graph: Graph, order: np.ndarray) -> tuple[np.ndarray, int]:
         after[i] = current
         v = nodes[i]
         mask[v] = True
-        current = max(current, 1)
         for u in graph.neighbors(v).tolist():
             if mask[u]:
-                current = max(current, size[uf.union(v, u)])
+                uf.union(v, u)
+        # unions only grow v's component, so its final size is the
+        # largest any of them gave
+        current = max(current, size[uf.find(v)])
     return np.array(after, dtype=np.int64), current
 
 

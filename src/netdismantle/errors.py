@@ -25,10 +25,6 @@ class DegenerateSpectrumError(RuntimeError):
     annihilated exactly)."""
 
 
-class OracleBudgetError(ValueError):
-    """An exhaustive oracle was asked to run beyond its hard size budget."""
-
-
 class InternalInvariantError(RuntimeError):
     """A state the algorithm promises can never occur occurred anyway.
     Reserved for bugs, not for bad input."""

@@ -9,7 +9,7 @@ local ids, and splits it into pieces without scanning the whole graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -40,7 +40,11 @@ class Graph:
     indptr: np.ndarray
     indices: np.ndarray
     labels: tuple[str, ...]
-    id_map: dict[str, int] = field(repr=False)
+
+    @cached_property
+    def id_map(self) -> dict[str, int]:
+        """Node id of every label, built on first read."""
+        return dict(zip(self.labels, range(self.n)))
 
     @property
     def m(self) -> int:
@@ -106,9 +110,8 @@ class Graph:
         indices = both % base
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n), out=indptr[1:])
-        id_map = dict(zip(labels, range(n)))
         edges = np.stack([lo, hi], axis=1)
-        return cls(n=n, edges=edges, indptr=indptr, indices=indices, labels=labels, id_map=id_map)
+        return cls(n=n, edges=edges, indptr=indptr, indices=indices, labels=labels)
 
 
 def full_mask(n: int) -> NodeMask:

@@ -10,7 +10,11 @@ the constant vector, so subtracting the mean every step deflates it and
 plain power iteration converges to the eigenvector we want.  Each step
 works in buffers allocated once per run and makes one call to scipy's
 CSR matvec kernel, on B + diag(scale).  That gives the bits x - mean(x),
-scale * x + B x and a division by the norm would.
+scale * x + B x and a division by the norm would.  On a component whose
+row lengths change often, as on heavy-tailed graphs, the kernel visits
+the rows sorted by length, into a second buffer that is gathered back
+into local order before the norm; every row keeps its entries, so every
+sum sees the same operands in the same order and the bits do not move.
 
 A fixed iteration budget stands in for a convergence test on purpose:
 runs are then deterministic functions of (graph, costs, seed, budget),
@@ -36,6 +40,13 @@ _UNDERFLOW = 1e-200
 # OpenBLAS threads a dot product above this length, and its result then
 # depends on the thread count
 _DOT_CHUNK = 10_000
+# the matvec's inner loop ends at each row's length, so a row whose length
+# differs from the one before costs a branch miss; the step rows are sorted
+# by length once this many rows differ.  Per power step on preferential-
+# attachment graphs (degree costs, one BLAS thread) sorting and gathering
+# back cost 25% more at 1.3k changes, 7-10% less at 2.3k and 19-33% less
+# from 3.3k on, so the break-even is near 2k; this keeps clear of it
+_SORT_ROWS_MIN_CHANGES = 4_096
 
 
 class _UnderflowCollapse(Exception):
@@ -49,7 +60,11 @@ class WeightedLaplacianOperator:
     nodes holds the sorted global ids; position i of any vector refers to
     nodes[i].  Applying it, scale * x + b x, costs one sparse matvec,
     O(edges in component).  step holds the CSR (indptr, indices, data) of
-    b + diag(scale), which applies the whole operator in one matvec.
+    b + diag(scale), which applies the whole operator in one matvec: each
+    row holds b's entries in b's order, then its diagonal.  Its rows are
+    in local order when order is None; otherwise they are stably sorted by
+    length, columns still in local ids, and local row i is step row
+    order[i].
     """
 
     nodes: np.ndarray
@@ -58,6 +73,7 @@ class WeightedLaplacianOperator:
     shift: float
     scale: np.ndarray  # shift - weighted_degree, precomputed
     step: tuple[np.ndarray, np.ndarray, np.ndarray]
+    order: np.ndarray | None  # step row of each local row; None when they agree
 
     @property
     def size(self) -> int:
@@ -82,11 +98,23 @@ def build_operator(view: Subgraph, costs: CostVector) -> WeightedLaplacianOperat
     weighted_degree = np.asarray(b.sum(axis=1)).ravel()
     shift = 2.0 * float(weighted_degree.max())
     scale = shift - weighted_degree
-    # scale[i] goes in as the last entry of row i
-    ends = b.indptr[1:]
-    step = (b.indptr + np.arange(k + 1, dtype=b.indptr.dtype), np.insert(b.indices, ends, np.arange(k)),
-            np.insert(b.data, ends, scale))
-    return WeightedLaplacianOperator(nodes, b, weighted_degree, shift, scale, step)
+    lengths = np.diff(b.indptr) + 1
+    rows, order = np.arange(k), None
+    if np.count_nonzero(lengths[1:] != lengths[:-1]) >= _SORT_ROWS_MIN_CHANGES:
+        rows = np.argsort(lengths, kind="stable")
+        order = np.empty(k, dtype=np.int64)
+        order[rows] = np.arange(k)
+    # step row j is local row rows[j]: its entries of b in order, then
+    # scale; a diagonal slot first gathers the entry after its row (clipped
+    # at the end), then is overwritten
+    indptr = np.zeros(k + 1, dtype=b.indptr.dtype)
+    np.cumsum(lengths[rows], out=indptr[1:])
+    src = np.repeat(b.indptr[rows] - indptr[:-1], lengths[rows])
+    src += np.arange(len(src), dtype=src.dtype)
+    diagonal = indptr[1:] - 1
+    indices, data = b.indices.take(src, mode="clip"), b.data.take(src, mode="clip")
+    indices[diagonal], data[diagonal] = rows, scale[rows]
+    return WeightedLaplacianOperator(nodes, b, weighted_degree, shift, scale, (indptr, indices, data), order)
 
 
 def iteration_budget(n: int, multiplier: int = 1) -> int:
@@ -125,15 +153,19 @@ def _sumsq(x: np.ndarray) -> float:
 
 def _power_iterate(op: WeightedLaplacianOperator, x0: np.ndarray, iterations: int) -> np.ndarray:
     indptr, indices, data = op.step
+    order = op.order
     k = op.size
     x = x0.copy()
     y = np.empty(k)
+    yp = y if order is None else np.empty(k)  # the kernel's output, in step row order
     for _ in range(iterations):
         np.subtract(x, np.add.reduce(x) / k, out=x)
         if math.sqrt(_sumsq(x)) < _UNDERFLOW:
             raise _UnderflowCollapse
-        y.fill(0.0)  # the kernel adds into its output
-        csr_matvec(k, k, indptr, indices, data, x, y)
+        yp.fill(0.0)  # the kernel adds into its output
+        csr_matvec(k, k, indptr, indices, data, x, yp)
+        if order is not None:
+            np.take(yp, order, out=y, mode="clip")
         norm = math.sqrt(_sumsq(y))
         if norm < _UNDERFLOW:
             raise _UnderflowCollapse

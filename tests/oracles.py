@@ -16,9 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostVector
-from .errors import OracleBudgetError
-from .graph import Graph, NodeMask
+from netdismantle import CostVector, Graph
+from netdismantle.graph import NodeMask
+
+
+class OracleBudgetError(ValueError):
+    """An exhaustive oracle was asked to run beyond its hard size budget."""
 
 
 @dataclass(frozen=True)

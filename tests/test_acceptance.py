@@ -31,12 +31,6 @@ from netdismantle import (
     sign_partition,
     weighted_vertex_cover,
 )
-from netdismantle.oracles import (
-    bfs_gcc_size,
-    brute_force_min_dismantling,
-    brute_force_min_vertex_cover,
-    dense_fiedler,
-)
 from netdismantle.rng import mix_seed
 from netdismantle.spectral import iteration_budget
 
@@ -50,6 +44,12 @@ from conftest import (
     record_criterion,
     reference_graph,
     reference_skip_reason,
+)
+from oracles import (
+    bfs_gcc_size,
+    brute_force_min_dismantling,
+    brute_force_min_vertex_cover,
+    dense_fiedler,
 )
 
 

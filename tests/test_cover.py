@@ -16,9 +16,9 @@ from netdismantle import (
 )
 from netdismantle.cover import CoverResult
 from netdismantle.errors import InvalidCostError
-from netdismantle.oracles import brute_force_min_vertex_cover
 
 from conftest import random_bipartite_cut
+from oracles import brute_force_min_vertex_cover
 
 
 def unit_costs(n):

@@ -20,6 +20,7 @@ from netdismantle import (
     DismantlingTarget,
     Graph,
     Partition,
+    build_operator,
     components,
     cost_of,
     dismantle,
@@ -40,9 +41,9 @@ from netdismantle.errors import (
 from netdismantle.rng import initial_vector, mix_seed, retry_seed
 from netdismantle.serialize import solution_json, trajectory_csv
 from netdismantle.spectral import _UNDERFLOW, SpectralVector, _UnderflowCollapse
-from netdismantle.oracles import bfs_gcc_size, brute_force_min_dismantling
 
-from conftest import BUNDLED, load_bundled, random_connected_graph, random_graph
+from conftest import BUNDLED, heavy_tailed_graph, load_bundled, random_connected_graph, random_graph
+from oracles import bfs_gcc_size, brute_force_min_dismantling
 
 
 def unit(g):
@@ -855,6 +856,14 @@ class TestLoopReference:
         g = load_bundled(name)
         costs = CostVector.for_mode(g, mode)
         assert_same_run(g, costs, DismantlingTarget.from_fraction(g.n), seed=g.n, fine_tuning=fine)
+
+    @pytest.mark.parametrize("mode", ["unit", "degree"])
+    def test_heavy_tailed_graph(self, mode):
+        # the first operator sorts its step rows by length
+        g = heavy_tailed_graph(3, 10_000)
+        costs = CostVector.for_mode(g, mode)
+        assert build_operator(g.subgraph(np.arange(g.n)), costs).order is not None
+        assert_same_run(g, costs, DismantlingTarget.from_fraction(g.n), seed=3, fine_tuning=True)
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -16,9 +16,9 @@ from netdismantle import (
     gcc_size,
     parse_edge_list,
 )
-from netdismantle.oracles import bfs_components
 
 from conftest import BUNDLED, DATA_DIR, random_graph
+from oracles import bfs_components
 
 
 class TestParsing:
@@ -97,8 +97,7 @@ def reference_from_edges(edges, n=None, labels=None):
     counts = np.bincount(src, minlength=n) if len(arr) else np.zeros(n, np.int64)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    id_map = {lab: i for i, lab in enumerate(labels)}
-    return Graph(n=n, edges=arr, indptr=indptr, indices=indices, labels=labels, id_map=id_map)
+    return Graph(n=n, edges=arr, indptr=indptr, indices=indices, labels=labels)
 
 
 def reference_parse(text):

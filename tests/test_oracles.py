@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from netdismantle import CostMode, CostVector, Graph, full_mask
-from netdismantle.errors import OracleBudgetError
-from netdismantle.oracles import (
+from oracles import (
     OracleBudget,
+    OracleBudgetError,
     bfs_components,
     bfs_gcc_size,
     brute_force_min_dismantling,

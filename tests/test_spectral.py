@@ -28,9 +28,10 @@ from netdismantle import (
     sign_partition,
 )
 from netdismantle.errors import ComponentTooSmallError, DegenerateSpectrumError
-from netdismantle.oracles import dense_fiedler
 from netdismantle.rng import initial_vector
 from netdismantle.spectral import (
+    _DOT_CHUNK,
+    _SORT_ROWS_MIN_CHANGES,
     _UNDERFLOW,
     SpectralVector,
     _power_iterate,
@@ -38,7 +39,8 @@ from netdismantle.spectral import (
     _UnderflowCollapse,
 )
 
-from conftest import BUNDLED, fiedler_test_instances, load_bundled, random_connected_graph
+from conftest import BUNDLED, fiedler_test_instances, heavy_tailed_graph, load_bundled, random_connected_graph
+from oracles import dense_fiedler
 
 
 def unit(g):
@@ -235,6 +237,7 @@ def assert_hot_path_matches_reference(graph, costs, comp, seed):
             assert got == expected
         else:
             assert_same_bytes(got, expected)
+    return op
 
 
 class TestHotPathReference:
@@ -272,10 +275,31 @@ class TestHotPathReference:
         costs = CostVector.for_mode(graph, mode)
         assert_hot_path_matches_reference(graph, costs, comp, seed=seed)
 
+    @pytest.mark.parametrize("mode", ["unit", "degree"])
+    def test_heavy_tailed_component_sorts_step_rows(self, mode):
+        # no more nodes than one dot chunk, so the reference's norms are
+        # the same single dots
+        graph = heavy_tailed_graph(5, _DOT_CHUNK)
+        lengths = np.diff(graph.indptr)
+        assert np.count_nonzero(lengths[1:] != lengths[:-1]) >= _SORT_ROWS_MIN_CHANGES
+        costs = CostVector.for_mode(graph, mode)
+        op = assert_hot_path_matches_reference(graph, costs, np.arange(graph.n), seed=17)
+        assert op.order is not None
+        assert (np.diff(np.diff(op.step[0])) >= 0).all()
+
+    def test_regular_component_keeps_local_row_order(self):
+        n = 12_000
+        ring = np.arange(n)
+        graph = Graph.from_edges(np.concatenate([np.column_stack([ring, (ring + d) % n]) for d in range(1, 5)]))
+        op = build_operator(graph.subgraph(ring), unit(graph))
+        assert op.order is None
+        assert_same_bytes(op.step[0], op.b.indptr + np.arange(n + 1, dtype=op.b.indptr.dtype))
+
 
 # Runs one power iteration on a 30k-node ring with random chords, far above
 # the length at which OpenBLAS threads a dot product, and prints the
-# iterate's sha256.
+# iterate's sha256.  Its step rows are sorted by length, so the gather back
+# into local order runs too.
 THREADED_ITERATE_SCRIPT = """
 import hashlib, sys
 import numpy as np
@@ -287,6 +311,7 @@ ring = np.arange(n)
 chords = np.random.default_rng(7).integers(0, n, size=(2 * n, 2))
 graph = Graph.from_edges(np.concatenate([np.column_stack([ring, (ring + 1) % n]), chords]), n=n)
 op = build_operator(graph.subgraph(ring), CostVector.degree(graph))
+assert op.order is not None
 x = _power_iterate(op, initial_vector(1, n), 40)
 sys.stdout.write(hashlib.sha256(x.tobytes()).hexdigest())
 """
