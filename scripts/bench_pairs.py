@@ -11,9 +11,15 @@ it goes, then for each metric the median [q1, q3] per side and how many
 pairs the change won (ties count for neither side; the direction comes
 from the change's BENCHMARK.json), and per seed whether the two sides'
 outputs agree: the sha256 of solution.json and trajectory.csv and the
-reported cost.  The same numbers go to BENCH_<workload>.json in the
-change checkout (BENCH_<workload>_trace.json with --trace 1), next to
-the environment (CPU, library versions, src/ lines) of the change's last run.
+reported cost.  Each end-to-end metric also gets two verdicts: a gain
+when the change wins at least 9 of 10 pairs and its median beats the
+parent's by more than the parent's q3 - q1, and a regression when its
+median is worse than the parent's by more than the metric's bound in
+BENCHMARK.json ("unresolved" when the parent's IQR alone exceeds the
+bound and some run of the parent beats some run of the change).  The
+same numbers go to BENCH_<workload>.json in the change checkout
+(BENCH_<workload>_trace.json with --trace 1), next to the environment
+(CPU, library versions, src/ lines) of the change's last run.
 
 Exit codes: 0 when every seed's outputs agree and no op failed, 1 when
 outputs differ or an op failed, 2 when a run did not finish.  Each
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -63,9 +70,45 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def directions(checkout: Path) -> dict[str, str]:
+def load_spec(checkout: Path) -> tuple[dict[str, str], dict[str, float]]:
+    """Each metric's better direction, and each end-to-end metric's bound."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return better, {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
+def gain_verdict(wins: int, pairs: int, gap: float, parent_iqr: float) -> dict:
+    """Whether the change claims a gain: it wins at least 9 of every 10
+    pairs and its median is better by more than the parent's IQR."""
+    return {
+        "met": wins >= 0.9 * pairs and gap > parent_iqr,
+        "wins": wins,
+        "pairs": pairs,
+        "median_gap": gap,
+        "parent_iqr": parent_iqr,
+    }
+
+
+def regression_verdict(parent: list[float], change: list[float], sign: float, bound: float) -> dict:
+    """Whether the change's median is worse than the parent's by more than
+    the bound, as a fraction of the parent's median; unresolved when the
+    parent's own IQR is wider than the bound, unless every run of the
+    change reads better than every run of the parent."""
+    (pq1, pm, pq3), (_, cm, _) = quartiles(parent), quartiles(change)
+    gap, scale = sign * (cm - pm), abs(pm)
+    if scale:
+        worse = -gap / scale
+        unresolved = (pq3 - pq1) / scale > bound
+    else:
+        worse = 0.0 if gap == 0 else -math.copysign(math.inf, gap)
+        unresolved = pq3 > pq1
+    if unresolved and min(sign * c for c in change) > max(sign * p for p in parent):
+        unresolved = False
+    if unresolved:
+        verdict = "unresolved"
+    else:
+        verdict = "regressed" if worse > bound else "within bound"
+    return {"verdict": verdict, "worse_by": worse, "bound": bound, "parent_iqr": pq3 - pq1}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -78,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    better = directions(checkouts["change"])
+    better, bounds = load_spec(checkouts["change"])
 
     values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
     mismatched: list[int] = []
@@ -113,6 +156,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"\n{args.workload}, {len(args.seeds)} pairs: metric  parent median [q1, q3]  ->  change median [q1, q3]  wins")
     metrics = {}
+    verdicts = []
     for name, parent in values["parent"].items():
         change = values["change"][name]
         sign = -1.0 if better.get(name) == "lower" else 1.0
@@ -126,6 +170,20 @@ def main(argv: list[str] | None = None) -> int:
             "change": {"median": cm, "q1": cq1, "q3": cq3},
             "wins": {"change": wins, "parent": losses},
         }
+        if name in bounds:
+            gap = sign * (cm - pm)
+            gain = gain_verdict(wins, len(parent), gap, pq3 - pq1)
+            regression = regression_verdict(parent, change, sign, bounds[name])
+            metrics[name].update(gain=gain, regression=regression)
+            verdicts.append(
+                f"  {name}: gain {'met' if gain['met'] else 'not met'} ({wins}/{len(parent)} wins, "
+                f"median gap {gap:.6g} vs parent IQR {pq3 - pq1:.6g}); regression {regression['verdict']} "
+                f"(worse by {100 * regression['worse_by']:+.1f}%, bound {100 * bounds[name]:.0f}%)"
+            )
+    if verdicts:
+        print("verdicts: gain = at least 9 of 10 pairs won and median gap > parent IQR; "
+              "regression = median worse than the parent's by more than the bound")
+        print("\n".join(verdicts))
     print(f"outputs identical on {len(args.seeds) - len(mismatched)}/{len(args.seeds)} seeds, failed ops {failed_ops}")
     bench = {
         "workload": args.workload,

@@ -103,7 +103,7 @@ def _resolve_settings(args: argparse.Namespace) -> RunSettings:
     if getattr(args, "config", None):
         try:
             config = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise _UsageError(f"cannot read config file: {exc}") from exc
         if not isinstance(config, dict):
             raise _UsageError("config file must hold a JSON object")
@@ -140,6 +140,8 @@ def _load_graph(path: str) -> Graph:
         text = Path(path).read_text()
     except OSError as exc:
         raise _UsageError(f"cannot read input: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"cannot decode input as {exc.encoding}: bad byte at offset {exc.start}") from exc
     return parse_edge_list(text)
 
 

@@ -123,19 +123,45 @@ def _is_break(char: str) -> bool:
 
 
 # indexed by code point: what str.split() and str.splitlines() split on
-_ASCII_SPACE = np.array([chr(c).isspace() for c in range(128)])
-_ASCII_BREAK = np.array([_is_break(chr(c)) for c in range(128)])
+_ASCII_SPACE = np.array([chr(c).isspace() for c in range(33)])
+_ASCII_BREAK = np.array([_is_break(chr(c)) for c in range(33)])
+# indexed by the byte width w < 8 of a token that packs into a key: the
+# mask of its bytes in a little-endian uint64, and the bits just above
+# them that tag it with its width
+_LOW_BYTES = np.array([(1 << 8 * w) - 1 for w in range(8)], dtype=np.uint64)
+_WIDTH_TAG = np.array([w << 8 * w for w in range(8)], dtype=np.uint64)
 
 
-def _char_classes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(is whitespace, is line break) for every code point of a text."""
-    if codes.dtype == np.uint8:
-        return _ASCII_SPACE[codes], _ASCII_BREAK[codes]
-    present = np.unique(codes)
-    chars = [chr(c) for c in present.tolist()]
-    space = present[[c.isspace() for c in chars]]
-    breaks = present[[_is_break(c) for c in chars]]
-    return np.isin(codes, space), np.isin(codes, breaks)
+def _index_dtype(size: int) -> type:
+    """The narrowest of int32 and int64 that indexes size entries."""
+    return np.int32 if size < 2**31 else np.int64
+
+
+def _classes(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(is whitespace, is line break) for code points as str.split() and
+    str.splitlines() see them."""
+    if chars.dtype == np.uint8:
+        return np.take(_ASCII_SPACE, chars), np.take(_ASCII_BREAK, chars)
+    present = np.unique(chars)
+    text = [chr(c) for c in present.tolist()]
+    space = present[[c.isspace() for c in text]]
+    breaks = present[[_is_break(c) for c in text]]
+    return np.isin(chars, space), np.isin(chars, breaks)
+
+
+def _whitespace(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions of a text's whitespace, as str.split() finds it, the
+    code points there, and which of them break lines as
+    str.splitlines() does."""
+    # no code point from 33 to 0x84 is whitespace
+    near = codes <= 32 if codes.dtype == np.uint8 else (codes <= 32) | (codes >= 0x85)
+    at = np.flatnonzero(near)
+    del near
+    chars = np.take(codes, at)
+    space, is_break = _classes(chars)
+    if not space.all():
+        at, chars, is_break = at[space], chars[space], is_break[space]
+    return at, chars, is_break
 
 
 def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
@@ -145,66 +171,146 @@ def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
     return starts
 
 
+def _words(data: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The 8 bytes from each ascending offset of a byte array, read as a
+    little-endian uint64 (the byte order the code points are read in);
+    bytes past the end read as zero."""
+    if len(data) < 8:
+        data = np.concatenate([data, np.zeros(8 - len(data), dtype=np.uint8)])
+    last = len(data) - 8
+    windows = np.ndarray((last + 1,), dtype=np.uint64, buffer=data, strides=(1,))
+    # np.take would copy the overlapping windows first
+    out = windows[np.minimum(at, last)]
+    k = int(np.searchsorted(at, at.dtype.type(last), side="right"))
+    out[k:] >>= (8 * (at[k:] - last)).astype(np.uint64)
+    return out
+
+
 def _intern(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ids in order of first appearance for the tokens codes[s : s + l].
 
     Returns (the id of every token, the index of each id's first token).
-    Tokens are compared one length at a time, so zero-padding a short
-    token to an 8-byte key cannot make "a" equal "a\x00".  Equal keys
-    are grouped by an unstable argsort; each group's first token is its
-    smallest index.
+    A token of w bytes packs into one uint64 key, its width over its
+    bytes over its index, when 8w + 3 + bit_length(T - 1) <= 64 for T
+    tokens; one sort of the keys groups equal tokens, and each group's
+    first key holds its first index.  Wider tokens are compared one
+    width at a time, so zero-padding "a" cannot make it equal "a\\x00".
     """
-    by_length = np.argsort(lengths)
-    code = np.empty(len(starts), dtype=np.int64)
+    count = len(starts)
+    index = _index_dtype(count)
+    bits = (count - 1).bit_length()
+    widths = lengths * codes.itemsize
+    packs = widths <= (61 - bits) // 8
+    # every token's group of equal tokens, and each group's first token
+    group = np.empty(count, dtype=index)
     firsts = []
-    count = 0
-    for group in np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1):
-        width = int(lengths[group[0]])
-        rows = sliding_window_view(codes, width)[starts[group]]
-        if width * codes.itemsize <= 8:
-            keys = np.zeros((len(group), 8 // codes.itemsize), dtype=codes.dtype)
-            keys[:, :width] = rows
-            keys = keys.view(np.uint64).ravel()
-        else:
-            keys = rows.view(f"S{width * codes.itemsize}").ravel()
-        perm = np.argsort(keys)
-        group = group[perm]
-        new = _run_starts(keys[perm])
-        code[group] = np.cumsum(new) + (count - 1)
-        firsts.append(np.minimum.reduceat(group, np.flatnonzero(new)))
-        count += len(firsts[-1])
-    first = np.concatenate(firsts)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[code], first[order]
+    packed = None if packs.all() else np.flatnonzero(packs)
+    if packed is None or len(packed):
+        at, width = (starts, widths) if packed is None else (starts[packed], widths[packed])
+        keys = _words(codes.view(np.uint8), at * codes.itemsize)
+        keys &= np.take(_LOW_BYTES, width)
+        keys |= np.take(_WIDTH_TAG, width)
+        del at, width
+        keys <<= np.uint64(bits)
+        keys |= np.arange(count, dtype=np.uint64) if packed is None else packed.astype(np.uint64)
+        keys.sort()
+        tokens = (keys & np.uint64((1 << bits) - 1)).astype(index)
+        keys >>= np.uint64(bits)
+        new = _run_starts(keys)
+        del keys
+        firsts.append(tokens[new])
+        group[tokens] = np.cumsum(new, dtype=index) - 1
+        del tokens, new
+    if packed is not None:
+        wide = np.flatnonzero(~packs)
+        wide = wide[np.argsort(lengths[wide], kind="stable")]
+        for same in np.split(wide, np.flatnonzero(np.diff(lengths[wide])) + 1):
+            width = int(lengths[same[0]])
+            rows = sliding_window_view(codes, width)[starts[same]]
+            if width * codes.itemsize <= 8:
+                keys = np.zeros((len(same), 8 // codes.itemsize), dtype=codes.dtype)
+                keys[:, :width] = rows
+                keys = keys.view(np.uint64).ravel()
+            else:
+                keys = rows.view(f"S{width * codes.itemsize}").ravel()
+            perm = np.argsort(keys)
+            same = same[perm]
+            new = _run_starts(keys[perm])
+            group[same] = np.cumsum(new, dtype=index) + (sum(map(len, firsts)) - 1)
+            firsts.append(np.minimum.reduceat(same, np.flatnonzero(new)))
+    firsts = np.concatenate(firsts)
+    is_first = np.zeros(count, dtype=bool)
+    is_first[firsts] = True
+    rank = np.cumsum(is_first, dtype=index)
+    rank -= 1
+    return np.take(np.take(rank, firsts), group), np.flatnonzero(is_first)
 
 
 def _edge_tokens(codes: np.ndarray, breaks: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Start and length of the first two tokens of every line that is
     neither blank nor a comment, in text order.  breaks holds the line
     break positions, or None to find them as str.splitlines() would."""
-    space, is_break = _char_classes(codes)
+    at, chars, is_break = _whitespace(codes)
     if breaks is None:
-        # "\r\n" is one break
-        is_break[1:] &= (codes[1:] != 10) | (codes[:-1] != 13)
-        breaks = np.flatnonzero(is_break)
-    word = np.zeros(len(codes) + 2, dtype=bool)
-    np.logical_not(space, out=word[1:-1])
-    # with a blank on both sides, word runs begin and end alternately
-    bounds = np.flatnonzero(word[1:] != word[:-1])
-    starts, ends = bounds[0::2], bounds[1::2]
-    line = np.searchsorted(breaks, starts)
+        # "\r\n" is one break, at the "\r"
+        cr = np.flatnonzero(chars[:-1] == 13)
+        lf = cr + 1
+        is_break[lf[(chars[lf] == 10) & (at[lf] == at[cr] + 1)]] = False
+    else:
+        is_break[:] = False
+        is_break[np.searchsorted(at, breaks)] = True
+    del chars
+    # wide enough for the tokens' byte offsets too
+    index = _index_dtype(codes.nbytes + 1)
+    # -1 and len(codes) stand for the blanks around the text; a token
+    # fills each gap between consecutive blanks
+    edge = np.empty(len(at) + 2, dtype=index)
+    edge[0], edge[-1] = -1, len(codes)
+    edge[1:-1] = at
+    del at
+    # lines[i] counts the breaks up to edge[i]
+    lines = np.zeros(len(edge) - 1, dtype=index)
+    np.cumsum(is_break, out=lines[1:])
+    del is_break
+    span = np.diff(edge)
+    gap = np.flatnonzero(span > 1)
+    starts = np.take(edge, gap) + 1
+    lengths = np.take(span, gap) - 1
+    line = np.take(lines, gap)
+    del edge, lines, span, gap
     first = np.ones(len(line) + 1, dtype=bool)
     np.not_equal(line[1:], line[:-1], out=first[1:-1])
     heads = np.flatnonzero(first[:-1])
-    comment = np.isin(codes[starts[heads]], [ord("%"), ord("#")])
-    short = heads[~comment & first[heads + 1]]
+    lead = np.take(codes, np.take(starts, heads))
+    comment = (lead == ord("%")) | (lead == ord("#"))
+    short = heads[~comment & np.take(first[1:], heads)]
     if len(short):
         raise ParseError("expected at least two tokens", line_number=int(line[short[0]]) + 1)
-    kept = np.repeat(heads[~comment], 2)
-    kept[1::2] += 1
-    return starts[kept], ends[kept] - starts[kept]
+    # the first two tokens of each line, but none of a comment's
+    keep = first[:-1].copy()
+    keep[1:] |= first[:-2]
+    dropped = heads[comment]
+    keep[dropped] = False
+    dropped += 1
+    keep[dropped[~first[dropped]]] = False
+    return starts[keep], lengths[keep]
+
+
+def _labels(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
+    """The tokens codes[s : s + l], gathered into one space-separated
+    text, decoded once and split; a token holds no whitespace."""
+    seps = np.cumsum(lengths + 1)
+    seps -= 1
+    # each output position's offset from its text position
+    shift = np.repeat(starts - (seps - lengths), lengths + 1)
+    shift += np.arange(len(shift), dtype=shift.dtype)
+    out = np.take(codes, shift, mode="clip")
+    del shift
+    out[seps] = ord(" ")
+    data = out[:-1].tobytes()
+    if codes.dtype == np.uint8:
+        return data.decode("ascii").split(" ")
+    return data.decode("utf-32-le", "surrogatepass").split(" ")
 
 
 def parse_edge_list(text: str | Iterable[str]) -> Graph:
@@ -219,7 +325,8 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
     Tokens split as str.split() does.  A string breaks into lines as
     str.splitlines() does; a sequence of strings is one line per element.
     The text is scanned as one array of code points, one byte each when
-    it is ASCII; only per-token arrays are int64.
+    it is ASCII, for its whitespace only; tokens are the gaps between
+    whitespace positions and are interned by one sort of packed keys.
     """
     breaks = None
     if not isinstance(text, str):
@@ -240,9 +347,9 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
     pairs = ids.reshape(-1, 2)
     if not (pairs[:, 0] != pairs[:, 1]).any():
         raise ParseError("no edges in input")
-    label_starts = starts[first]
-    spans = zip(label_starts.tolist(), (label_starts + lengths[first]).tolist())
-    labels = [text[s:e] for s, e in spans]
+    labels = _labels(codes, starts[first], lengths[first])
+    # the text's arrays go before the build allocates its own
+    del codes, starts, lengths, first
     return Graph.from_edges(pairs, n=len(labels), labels=labels)
 
 

@@ -159,9 +159,9 @@ def _power_iterate(op: WeightedLaplacianOperator, x0: np.ndarray, iterations: in
     y = np.empty(k)
     yp = y if order is None else np.empty(k)  # the kernel's output, in step row order
     for _ in range(iterations):
+        # a deflated unit vector is exactly zero or far above _UNDERFLOW;
+        # costs are finite, so zero comes back as zero and fails below
         np.subtract(x, np.add.reduce(x) / k, out=x)
-        if math.sqrt(_sumsq(x)) < _UNDERFLOW:
-            raise _UnderflowCollapse
         yp.fill(0.0)  # the kernel adds into its output
         csr_matvec(k, k, indptr, indices, data, x, yp)
         if order is not None:

@@ -172,6 +172,14 @@ class TestErrors:
         assert run(["stats", "--input", bad]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_undecodable_input_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1 2\n\xff\xfe 3\n")
+        assert run(["dismantle", "--input", bad]) == 2
+        err = capsys.readouterr().err
+        assert "offset 4" in err
+        assert "Traceback" not in err
+
     def test_unknown_config_key(self, path_graph, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"budget": 5}')

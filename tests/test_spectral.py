@@ -209,6 +209,35 @@ def reference_power_iterate(op, x, iterations):
     return x / norm
 
 
+def reference_norm(x):
+    """The 2-norm as _sumsq defines it: one dot up to 10,000 entries, the
+    exactly rounded sum of the dots of 10,000-entry chunks above that."""
+    if len(x) <= 10_000:
+        return math.sqrt(float(x.dot(x)))
+    return math.sqrt(math.fsum(float(x[i : i + 10_000].dot(x[i : i + 10_000])) for i in range(0, len(x), 10_000)))
+
+
+def reference_chunked_power_iterate(op, x, iterations):
+    """reference_power_iterate with reference_norm for components of more
+    than one dot chunk, where a single dot differs in the last bits."""
+    assert op.size > 10_000
+    for _ in range(iterations):
+        x = x - x.mean()
+        norm = reference_norm(x)
+        if norm < _UNDERFLOW:
+            raise _UnderflowCollapse
+        x = op.scale * x + op.b.dot(x)
+        norm = reference_norm(x)
+        if norm < _UNDERFLOW:
+            raise _UnderflowCollapse
+        x = x / norm
+    x = x - x.mean()
+    norm = reference_norm(x)
+    if norm < _UNDERFLOW:
+        raise _UnderflowCollapse
+    return x / norm
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -286,6 +315,18 @@ class TestHotPathReference:
         op = assert_hot_path_matches_reference(graph, costs, np.arange(graph.n), seed=17)
         assert op.order is not None
         assert (np.diff(np.diff(op.step[0])) >= 0).all()
+
+    @pytest.mark.parametrize("mode", ["unit", "degree"])
+    def test_heavy_tailed_component_above_one_dot_chunk(self, mode):
+        graph = heavy_tailed_graph(11, 3 * _DOT_CHUNK)
+        costs = CostVector.for_mode(graph, mode)
+        op = build_operator(graph.subgraph(np.arange(graph.n)), costs)
+        assert op.order is not None
+        assert (np.diff(np.diff(op.step[0])) >= 0).all()
+        for budget in (1, 7, iteration_budget(op.size)):
+            x0 = initial_vector(23, op.size)
+            got = _power_iterate(op, x0, budget)
+            assert_same_bytes(got, reference_chunked_power_iterate(op, x0, budget))
 
     def test_regular_component_keeps_local_row_order(self):
         n = 12_000
