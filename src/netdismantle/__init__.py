@@ -27,6 +27,7 @@ from .ensemble import (
     MemberResult,
     gcc_difference_histogram,
     run_ensemble,
+    run_variability,
 )
 from .errors import (
     ComponentTooSmallError,
@@ -68,6 +69,7 @@ __all__ = [
     "MemberResult",
     "gcc_difference_histogram",
     "run_ensemble",
+    "run_variability",
     "ComponentTooSmallError",
     "DegenerateSpectrumError",
     "EnsembleMemberError",

@@ -21,12 +21,10 @@ import traceback
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .costs import CostMode, CostVector
 from .dismantle import DismantlingTarget, cost_of, dismantle, reinsert
-from .ensemble import EnsembleConfig, gcc_difference_histogram, run_ensemble
+from .ensemble import EnsembleConfig, run_ensemble, run_variability
 from .errors import InternalInvariantError, InvalidCostError, ParseError
 from .graph import Graph, parse_edge_list
 from .serialize import format_float, report_to_dict, solution_json, to_json, trajectory_csv
@@ -94,9 +92,11 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file with defaults for any flag")
 
 
-def _resolve_settings(args: argparse.Namespace) -> RunSettings:
+def _resolve_settings(args: argparse.Namespace, unused: tuple[str, ...] = ()) -> RunSettings:
     """Flags that were given win; config file fills the rest; then
-    defaults.  Booleans arrive as on/off strings from the flags."""
+    defaults.  Booleans arrive as on/off strings from the flags.  A
+    setting named in unused, which the command has no use for, is a usage
+    error whether a flag or the config file gives it."""
     from dataclasses import fields
 
     config: dict = {}
@@ -117,6 +117,9 @@ def _resolve_settings(args: argparse.Namespace) -> RunSettings:
         given = getattr(args, name, None)
         if given is not None:
             merged[name] = _ONOFF[given] if name in ("reinsert", "fine_tune") else given
+    for name in unused:
+        if name in merged:
+            raise _UsageError(f"{args.command} does not use {name!r} (--{name.replace('_', '-')})")
     if "workers" not in merged:
         env = os.environ.get(WORKERS_ENV)
         if env is not None:
@@ -208,12 +211,12 @@ def cmd_dismantle(args: argparse.Namespace) -> int:
 
 
 def cmd_variability(args: argparse.Namespace) -> int:
-    settings = _resolve_settings(args)
+    settings = _resolve_settings(args, unused=("ensemble", "iter_multiplier"))
     try:
-        multipliers = [int(tok) for tok in args.multipliers.split(",") if tok.strip()]
+        multipliers = sorted({int(tok) for tok in args.multipliers.split(",") if tok.strip()})
     except ValueError as exc:
         raise _UsageError("--multipliers must be a comma-separated integer list") from exc
-    if not multipliers or any(m < 1 for m in multipliers):
+    if not multipliers or multipliers[0] < 1:
         raise _UsageError("--multipliers must list integers >= 1")
     members = args.members
     if members < 1:
@@ -222,78 +225,39 @@ def cmd_variability(args: argparse.Namespace) -> int:
     costs = CostVector.for_mode(graph, settings.cost)
     target = settings.target_for(graph)
     out_dir = Path(settings.out)
+    config = EnsembleConfig(
+        k=members,
+        base_seed=settings.seed,
+        reinsertion=settings.reinsert,
+        fine_tuning=settings.fine_tune,
+        workers=settings.workers,
+    )
 
-    runs: dict[int, list] = {}
-    for multiplier in multipliers:
-        config = EnsembleConfig(
-            k=members,
-            base_seed=settings.seed,
-            iter_multiplier=multiplier,
-            reinsertion=settings.reinsert,
-            fine_tuning=settings.fine_tune,
-            workers=settings.workers,
-        )
-        report = run_ensemble(graph, costs, target, config)
-        runs[multiplier] = report.members
-        for member in report.members:
-            _write(
-                out_dir / "trajectories",
-                f"D{multiplier}_member{member.index}.csv",
-                trajectory_csv(member.solution.trajectory),
-            )
+    def write_seed(runs, trajectories, histograms):
+        for member, trajectory in zip(runs, trajectories):
+            name = f"D{member.multiplier}_member{member.index}.csv"
+            _write(out_dir / "trajectories", name, trajectory_csv(trajectory))
+        for member, hist in zip(runs[1:], histograms):
+            name = f"D{runs[0].multiplier}_vs_D{member.multiplier}_member{member.index}.csv"
+            _write(out_dir / "histograms", name, _histogram_csv(hist))
 
-    base = multipliers[0]
-    comparisons = []
-    for multiplier in multipliers[1:]:
-        positives = zeros = negatives = 0
-        for low, high in zip(runs[base], runs[multiplier]):
-            low_curve, high_curve = low.solution.trajectory, high.solution.trajectory
-            grid = np.unique(np.concatenate([[c for c, _ in low_curve], [c for c, _ in high_curve]]))
-            hist = gcc_difference_histogram(low_curve, high_curve, grid)
-            _write(
-                out_dir / "histograms",
-                f"D{base}_vs_D{multiplier}_member{low.index}.csv",
-                _histogram_csv(hist),
-            )
-            positives += int((hist.differences > 0).sum())
-            zeros += int((hist.differences == 0).sum())
-            negatives += int((hist.differences < 0).sum())
-        total = positives + zeros + negatives
-        comparisons.append(
-            {
-                "base_multiplier": base,
-                "multiplier": multiplier,
-                "grid_points": total,
-                "positive_fraction": positives / total if total else 0.0,
-                "zero_fraction": zeros / total if total else 0.0,
-                "negative_fraction": negatives / total if total else 0.0,
-            }
-        )
-
-    summary = {
-        "multipliers": multipliers,
-        "members": members,
-        "per_multiplier": [
-            {
-                "multiplier": multiplier,
-                "mean_cost": float(np.mean([m.reported_cost for m in runs[multiplier]])),
-                "min_cost": float(np.min([m.reported_cost for m in runs[multiplier]])),
-                "max_cost": float(np.max([m.reported_cost for m in runs[multiplier]])),
-            }
-            for multiplier in multipliers
-        ],
-        "comparisons": comparisons,
-    }
+    summary, settling, rows = run_variability(graph, costs, target, config, multipliers, write_seed)
+    cost_rows = ["multiplier,member,seed,cost,final_gcc,seconds"] + [
+        f"{r.multiplier},{r.index},{r.seed},{format_float(r.reported_cost)},{r.final_gcc},{r.seconds:.4f}"
+        for r in sorted(rows, key=lambda r: (r.multiplier, r.index))
+    ]
     results = {"summary": summary}
     _write(out_dir, "manifest.json", to_json(_manifest("variability", settings, graph, results)))
     _write(out_dir, "variability.json", to_json(summary))
+    _write(out_dir, "settling.json", to_json(settling))
+    _write(out_dir, "member_costs.csv", "\n".join(cost_rows) + "\n")
     for row in summary["per_multiplier"]:
         print(
             f"D={row['multiplier']}: mean cost {format_float(row['mean_cost'])} "
             f"[{format_float(row['min_cost'])}, {format_float(row['max_cost'])}] "
             f"over {members} members"
         )
-    for row in comparisons:
+    for row in summary["comparisons"]:
         print(
             f"D={row['base_multiplier']} vs D={row['multiplier']}: "
             f"gcc difference positive {row['positive_fraction']:.3f}, "

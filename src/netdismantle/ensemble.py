@@ -1,17 +1,25 @@
-"""Best-of-K ensembles over independently seeded runs.
+"""Best-of-K ensembles and budget-variability studies over seeded runs.
 
 The spectral run is cheap and its quality varies a lot with the start
 vector, so running K seeds and keeping the cheapest beats spending the
-same budget on longer power iteration for one seed.  Member k uses seed
-base_seed + k; results are identical whatever the worker count, because
+same budget on longer power iteration for one seed.  A member is (index,
+seed, multiplier): it runs seed base_seed + index with the power
+iteration budget scaled by the multiplier.  An ensemble runs its K
+members at one multiplier; a variability study runs the same K seeds at
+several.  Results are identical whatever the worker count, because
 members never share state.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from collections import deque
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass, field, replace
+from itertools import islice, product
 
 import numpy as np
 
@@ -40,14 +48,18 @@ class EnsembleConfig:
             raise ValueError("workers must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemberResult:
+    """One member's run.  solution is None in the member rows of a
+    variability study, which keeps the other fields only."""
+
     index: int
     seed: int
     reported_cost: float
     final_gcc: int
-    solution: DismantlingSolution
+    solution: DismantlingSolution | None
     seconds: float = 0.0
+    multiplier: int = 1
 
 
 @dataclass
@@ -94,9 +106,9 @@ def _init_worker(graph, costs, target, config):
     _WORKER_CTX = (graph, costs, target, config)
 
 
-def _run_member_in_worker(index: int) -> MemberResult:
+def _run_member_in_worker(index: int, multiplier: int) -> MemberResult:
     graph, costs, target, config = _WORKER_CTX
-    return _run_member(graph, costs, target, config, index)
+    return _run_member(graph, costs, target, config, index, multiplier)
 
 
 def _member_seed(config: EnsembleConfig, index: int) -> int:
@@ -109,6 +121,7 @@ def _run_member(
     target: DismantlingTarget,
     config: EnsembleConfig,
     index: int,
+    multiplier: int,
 ) -> MemberResult:
     seed = _member_seed(config, index)
     started = time.perf_counter()
@@ -117,7 +130,7 @@ def _run_member(
         costs,
         target,
         seed=seed,
-        iter_multiplier=config.iter_multiplier,
+        iter_multiplier=multiplier,
         fine_tuning=config.fine_tuning,
     )
     if config.reinsertion:
@@ -129,7 +142,54 @@ def _run_member(
         final_gcc=solution.final_gcc,
         solution=solution,
         seconds=time.perf_counter() - started,
+        multiplier=multiplier,
     )
+
+
+def _pool_size(workers: int, tasks: int) -> int:
+    """Processes worth starting: no more than the tasks, nor than the CPUs
+    this process may run on, since results do not depend on the count."""
+    return min(workers, tasks, len(os.sched_getaffinity(0)))
+
+
+def _members(
+    graph: Graph,
+    costs: CostVector,
+    target: DismantlingTarget,
+    config: EnsembleConfig,
+    multipliers: Sequence[int],
+) -> Iterator[MemberResult]:
+    """Run each of the K seeds at every multiplier (config.iter_multiplier
+    is not read) and yield the members in (index, multiplier) order.
+
+    One worker runs them in this process.  More share one pool over the
+    whole grid, which holds at most two tasks per worker submitted and
+    unread, so the parent keeps a bounded number of futures whatever K is.
+    A member's failure ends the run as EnsembleMemberError.
+    """
+    workers = _pool_size(config.workers, config.k * len(multipliers))
+    unsubmitted = product(range(config.k), multipliers)
+    with ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(
+                ProcessPoolExecutor(
+                    max_workers=workers,
+                    initializer=_init_worker,
+                    initargs=(graph, costs, target, config),
+                )
+            )
+            submitted: deque = deque()
+        for index, multiplier in product(range(config.k), multipliers):
+            try:
+                if workers == 1:
+                    member = _run_member(graph, costs, target, config, index, multiplier)
+                else:
+                    for task in islice(unsubmitted, 2 * workers - len(submitted)):
+                        submitted.append(pool.submit(_run_member_in_worker, *task))
+                    member = submitted.popleft().result()
+            except Exception as exc:
+                raise EnsembleMemberError(index, _member_seed(config, index), multiplier, exc) from exc
+            yield member
 
 
 def run_ensemble(
@@ -139,27 +199,8 @@ def run_ensemble(
     config: EnsembleConfig,
 ) -> EnsembleReport:
     """Run all K members and collect their results in index order."""
-    report = EnsembleReport(config=config)
-    workers = min(config.workers, config.k)
-    if workers == 1:
-        for index in range(config.k):
-            try:
-                report.members.append(_run_member(graph, costs, target, config, index))
-            except Exception as exc:
-                raise EnsembleMemberError(index, _member_seed(config, index), exc) from exc
-        return report
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_worker,
-        initargs=(graph, costs, target, config),
-    ) as pool:
-        futures = [pool.submit(_run_member_in_worker, index) for index in range(config.k)]
-        for index, future in enumerate(futures):
-            try:
-                report.members.append(future.result())
-            except Exception as exc:
-                raise EnsembleMemberError(index, _member_seed(config, index), exc) from exc
-    return report
+    members = list(_members(graph, costs, target, config, (config.iter_multiplier,)))
+    return EnsembleReport(config=config, members=members)
 
 
 @dataclass(frozen=True)
@@ -217,3 +258,86 @@ def gcc_difference_histogram(
     differences = a - b
     values, counts = np.unique(differences, return_counts=True)
     return DifferenceHistogram(grid=grid, differences=differences, values=values, counts=counts)
+
+
+def run_variability(
+    graph: Graph,
+    costs: CostVector,
+    target: DismantlingTarget,
+    config: EnsembleConfig,
+    multipliers: Sequence[int],
+    on_seed: Callable[[list[MemberResult], list[list[tuple[float, int]]], list[DifferenceHistogram]], None],
+) -> tuple[dict, dict, list[MemberResult]]:
+    """Run config's K seeds at each of the distinct, ascending multipliers
+    (config.iter_multiplier is not read) and compare each seed's curve at
+    every larger multiplier with its curve at the smallest.
+
+    Once a seed has run at every multiplier, on_seed gets its members,
+    their trajectories and the base-vs-D gcc difference histograms on the
+    union of both curves' costs; then they are dropped.  Returns the
+    summary (cost spread per multiplier; difference signs pooled over all
+    seeds and grid points), the settling result (whether every member
+    followed the first member's trajectory, per multiplier, and the
+    smallest multiplier from which on all did, or None), and each
+    member's result without its solution.
+    """
+    multipliers = list(multipliers)
+    if not multipliers or multipliers != sorted(set(multipliers)):
+        raise ValueError("multipliers must be distinct and ascending")
+    rows: list[MemberResult] = []
+    signs = np.zeros((len(multipliers) - 1, 3), dtype=np.int64)  # negative, zero, positive
+    first: list[list[tuple[float, int]]] = []
+    settled = [True] * len(multipliers)
+    seed: list[MemberResult] = []
+    for member in _members(graph, costs, target, config, multipliers):
+        seed.append(member)
+        rows.append(replace(member, solution=None))
+        if len(seed) < len(multipliers):
+            continue
+        trajectories = [m.solution.trajectory for m in seed]
+        first = first or trajectories
+        settled = [s and t == f for s, t, f in zip(settled, trajectories, first)]
+        base = trajectories[0]
+        histograms = [
+            gcc_difference_histogram(base, t, np.unique([c for c, _ in base + t])) for t in trajectories[1:]
+        ]
+        for counts, hist in zip(signs, histograms):
+            counts += np.bincount(np.sign(hist.differences) + 1, minlength=3)
+        on_seed(seed, trajectories, histograms)
+        seed = []
+        del trajectories, base, histograms
+    comparisons = []
+    for multiplier, (negatives, zeros, positives) in zip(multipliers[1:], signs.tolist()):
+        total = negatives + zeros + positives
+        comparisons.append(
+            {
+                "base_multiplier": multipliers[0],
+                "multiplier": multiplier,
+                "grid_points": total,
+                "positive_fraction": positives / total,
+                "zero_fraction": zeros / total,
+                "negative_fraction": negatives / total,
+            }
+        )
+    spreads = []
+    for multiplier in multipliers:
+        paid = [row.reported_cost for row in rows if row.multiplier == multiplier]
+        spreads.append(
+            {
+                "multiplier": multiplier,
+                "mean_cost": float(np.mean(paid)),
+                "min_cost": float(np.min(paid)),
+                "max_cost": float(np.max(paid)),
+            }
+        )
+    summary = {
+        "multipliers": multipliers,
+        "members": config.k,
+        "per_multiplier": spreads,
+        "comparisons": comparisons,
+    }
+    settling = {
+        "settled_by_multiplier": {str(m): s for m, s in zip(multipliers, settled)},
+        "settling_threshold": next((m for i, m in enumerate(multipliers) if all(settled[i:])), None),
+    }
+    return summary, settling, rows

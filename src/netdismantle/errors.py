@@ -31,11 +31,15 @@ class InternalInvariantError(RuntimeError):
 
 
 class EnsembleMemberError(RuntimeError):
-    """A single ensemble member failed; carries the member index and the
-    seed it ran with, so the failure can be rerun alone."""
+    """A single ensemble member failed; carries the member index, the seed
+    and the budget multiplier it ran with, so the failure can be rerun
+    alone."""
 
-    def __init__(self, member_index: int, seed: int, cause: BaseException):
-        super().__init__(f"ensemble member {member_index} (seed {seed}) failed: {cause!r}")
+    def __init__(self, member_index: int, seed: int, multiplier: int, cause: BaseException):
+        super().__init__(
+            f"ensemble member {member_index} (seed {seed}) at multiplier {multiplier} failed: {cause!r}"
+        )
         self.member_index = member_index
         self.seed = seed
+        self.multiplier = multiplier
         self.cause = cause

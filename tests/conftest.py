@@ -82,15 +82,19 @@ def random_connected_graph(seed: int, n: int, extra: float = 0.08) -> Graph:
     return Graph.from_edges(edges, n=n)
 
 
-def heavy_tailed_graph(seed: int, n: int) -> Graph:
-    """Connected graph with a heavy degree tail: a random spanning path
-    plus 2n edges whose ends are drawn with Pareto weights."""
+def heavy_tailed_edges(seed: int, n: int) -> np.ndarray:
+    """Edges of a connected graph with a heavy degree tail: a random
+    spanning path plus 2n edges whose ends are drawn with Pareto weights."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     path = np.stack([perm[:-1], perm[1:]], axis=1)
     weight = rng.pareto(1.5, n) + 1.0
     ends = rng.choice(n, size=(2 * n, 2), p=weight / weight.sum())
-    return Graph.from_edges(np.concatenate([path, ends]), n=n)
+    return np.concatenate([path, ends])
+
+
+def heavy_tailed_graph(seed: int, n: int) -> Graph:
+    return Graph.from_edges(heavy_tailed_edges(seed, n), n=n)
 
 
 def fiedler_test_instances(count: int, start_seed: int = 0, max_n: int = 100):

@@ -1,10 +1,13 @@
 """End-to-end CLI behavior through in-process main() calls."""
 
+import hashlib
 import json
 
 import pytest
 
 from netdismantle.cli import WORKERS_ENV, main
+
+from conftest import DATA_DIR
 
 
 @pytest.fixture
@@ -312,6 +315,77 @@ class TestVariabilityCommand:
         assert code == 0
         summary = json.loads((out / "variability.json").read_text())
         assert summary["comparisons"] == []
+
+    # karate, --multipliers 1,200 --members 3, as written before the study
+    # moved into the library: these bytes must not move
+    KARATE_SHA256 = {
+        "variability.json": "d51b4a32afcbbee4a593ef1394fe07274e0e6bcf6247991dc6cf061a7adc3f97",
+        "histograms/D1_vs_D200_member0.csv": "5aa3eb5ca82a62dd693de5ffc290436f46a093daaa169133c66f0ee64ea6dd19",
+        "histograms/D1_vs_D200_member1.csv": "5aa3eb5ca82a62dd693de5ffc290436f46a093daaa169133c66f0ee64ea6dd19",
+        "histograms/D1_vs_D200_member2.csv": "0519516b5047b483489d5fd1aacea322530304776a5f40706e3d03f22e56d142",
+        "trajectories/D1_member0.csv": "a78d3be0f177ae34b0c1081edee48f307add7e24def127132e87c36e899adf5b",
+        "trajectories/D1_member1.csv": "a78d3be0f177ae34b0c1081edee48f307add7e24def127132e87c36e899adf5b",
+        "trajectories/D1_member2.csv": "ccfaab67a3e4f8f50481fab9238857e8968b855310737c2f8543c75bd5a46d03",
+        "trajectories/D200_member0.csv": "13afbaa94399ecc28ae535dbcfa896502feb0d2380a816e0cd22ae9aa894c712",
+        "trajectories/D200_member1.csv": "13afbaa94399ecc28ae535dbcfa896502feb0d2380a816e0cd22ae9aa894c712",
+        "trajectories/D200_member2.csv": "13afbaa94399ecc28ae535dbcfa896502feb0d2380a816e0cd22ae9aa894c712",
+    }
+    KARATE_STDOUT = [
+        "D=1: mean cost 14 [14, 14] over 3 members",
+        "D=200: mean cost 14 [14, 14] over 3 members",
+        "D=1 vs D=200: gcc difference positive 0.089, zero 0.667, negative 0.244",
+    ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_karate_bytes_pinned(self, tmp_path, capsys, workers):
+        out = tmp_path / "out"
+        argv = ["variability", "--input", DATA_DIR / "karate.txt", "--multipliers", "1,200"]
+        assert run([*argv, "--members", "3", "--workers", workers, "--out", out]) == 0
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[:-1] == self.KARATE_STDOUT
+        assert stdout[-1] == f"outputs in {out}"
+        written = {
+            str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.rglob("*.*")
+            if path.parent.name in ("trajectories", "histograms") or path.name == "variability.json"
+        }
+        assert written == self.KARATE_SHA256
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["results"] == {"summary": json.loads((out / "variability.json").read_text())}
+        # every D=200 member follows one trajectory; member 2 differs at D=1
+        assert json.loads((out / "settling.json").read_text()) == {
+            "settled_by_multiplier": {"1": False, "200": True},
+            "settling_threshold": 200,
+        }
+        rows = (out / "member_costs.csv").read_text().splitlines()
+        assert rows[0] == "multiplier,member,seed,cost,final_gcc,seconds"
+        assert [row.split(",")[:5] for row in rows[1:]] == [
+            [d, i, i, "14", "1"] for d in ("1", "200") for i in ("0", "1", "2")
+        ]
+
+    def test_multipliers_sorted_and_deduplicated(self, ring_graph, tmp_path, capsys):
+        common = ["variability", "--input", ring_graph, "--target-size", "2", "--members", "2"]
+        assert run([*common, "--multipliers", "2,1,1", "--out", tmp_path / "a"]) == 0
+        assert run([*common, "--multipliers", "1,2", "--out", tmp_path / "b"]) == 0
+        summary = (tmp_path / "a" / "variability.json").read_bytes()
+        assert summary == (tmp_path / "b" / "variability.json").read_bytes()
+        assert json.loads(summary)["multipliers"] == [1, 2]
+        assert capsys.readouterr().out.count("D=1 vs D=2") == 2
+        assert sorted(p.name for p in (tmp_path / "a" / "histograms").iterdir()) == [
+            "D1_vs_D2_member0.csv",
+            "D1_vs_D2_member1.csv",
+        ]
+
+    @pytest.mark.parametrize("flag,key", [("--ensemble", "ensemble"), ("--iter-multiplier", "iter_multiplier")])
+    def test_ensemble_settings_are_usage_errors(self, path_graph, tmp_path, capsys, flag, key):
+        common = ["variability", "--input", path_graph, "--multipliers", "1", "--members", "1"]
+        assert run([*common, flag, "7", "--out", tmp_path / "flag"]) == 2
+        assert flag in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 7}))
+        assert run([*common, "--config", cfg, "--out", tmp_path / "config"]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "flag").exists() and not (tmp_path / "config").exists()
 
     def test_bad_multiplier_list(self, path_graph, capsys):
         assert (

@@ -3,6 +3,8 @@
 import gc
 import tracemalloc
 from concurrent.futures import Future
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from netdismantle import (
     gcc_difference_histogram,
     reinsert,
     run_ensemble,
+    run_variability,
 )
 from netdismantle import ensemble
 from netdismantle.ensemble import MemberResult, _best_index
@@ -138,6 +141,20 @@ class TestRunEnsemble:
         run_ensemble(self.graph, self.costs, self.target, EnsembleConfig(k=1, workers=8))
         assert sizes == [2]
 
+    def test_pool_bounded_by_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert ensemble._pool_size(500, 1000) == 3
+        assert ensemble._pool_size(2, 1000) == 2
+        assert ensemble._pool_size(500, 1) == 1
+
+    def test_members_record_their_multiplier(self):
+        config = EnsembleConfig(k=2, iter_multiplier=3)
+        report = run_ensemble(self.graph, self.costs, self.target, config)
+        assert [m.multiplier for m in report.members] == [3, 3]
+        lone = dismantle(self.graph, self.costs, self.target, seed=1, iter_multiplier=3)
+        lone = reinsert(self.graph, self.costs, self.target, lone)
+        assert report.members[1].solution.removal_order == lone.removal_order
+
     def test_cost_summary_spread(self):
         report = EnsembleReport(config=EnsembleConfig(k=3))
         report.members = [
@@ -203,6 +220,121 @@ class TestRunEnsemble:
             EnsembleConfig(workers=0)
         with pytest.raises(ValueError):
             EnsembleConfig(iter_multiplier=0)
+
+
+class TestVariabilityStudy:
+    def setup_method(self):
+        self.graph = random_connected_graph(5, 40)
+        self.costs = CostVector.unit(self.graph)
+        self.target = DismantlingTarget.absolute(3)
+
+    def test_seeds_match_one_ensemble_per_multiplier(self):
+        config = EnsembleConfig(k=3, base_seed=4)
+        handed = []
+        summary, settling, rows = run_variability(
+            self.graph, self.costs, self.target, config, [1, 5], lambda *seed: handed.append(seed)
+        )
+        ensembles = {
+            d: run_ensemble(self.graph, self.costs, self.target, EnsembleConfig(k=3, base_seed=4, iter_multiplier=d))
+            for d in (1, 5)
+        }
+        assert [(m.index, m.multiplier) for members, _, _ in handed for m in members] == [
+            (i, d) for i in range(3) for d in (1, 5)
+        ]
+        for members, trajectories, histograms in handed:
+            low, high = (ensembles[d].members[members[0].index] for d in (1, 5))
+            assert trajectories == [low.solution.trajectory, high.solution.trajectory]
+            grid = np.unique([c for c, _ in trajectories[0] + trajectories[1]])
+            expected = gcc_difference_histogram(trajectories[0], trajectories[1], grid)
+            assert len(histograms) == 1
+            assert histograms[0].differences.tolist() == expected.differences.tolist()
+        assert all(row.solution is None for row in rows)
+        assert [(r.index, r.seed, r.multiplier, r.reported_cost) for r in rows] == [
+            (i, 4 + i, d, ensembles[d].members[i].reported_cost) for i in range(3) for d in (1, 5)
+        ]
+        for row, d in zip(summary["per_multiplier"], (1, 5)):
+            costs = [m.reported_cost for m in ensembles[d].members]
+            assert (row["multiplier"], row["mean_cost"]) == (d, float(np.mean(costs)))
+        assert summary["comparisons"][0]["grid_points"] == sum(len(h[0].differences) for _, _, h in handed)
+        for d in (1, 5):
+            trajectories = [m.solution.trajectory for m in ensembles[d].members]
+            same = all(t == trajectories[0] for t in trajectories)
+            assert settling["settled_by_multiplier"][str(d)] == same
+
+    def test_settling_threshold_needs_every_larger_multiplier_settled(self, monkeypatch):
+        # a fake trajectory per (seed, multiplier): seeds agree only at D=2 and D=4
+        def fake_member(graph, costs, target, config, index, multiplier):
+            curve = [(0.0, 40), (1.0, 3 if multiplier in (2, 4) else 3 + index)]
+            solution = SimpleNamespace(trajectory=curve)
+            return MemberResult(index, index, 1.0, 3, solution, multiplier=multiplier)
+
+        monkeypatch.setattr(ensemble, "_run_member", fake_member)
+        config = EnsembleConfig(k=3)
+        run = partial(run_variability, self.graph, self.costs, self.target, config, on_seed=lambda *seed: None)
+        _, settling, _ = run([1, 2, 3, 4])
+        assert settling == {
+            "settled_by_multiplier": {"1": False, "2": True, "3": False, "4": True},
+            "settling_threshold": 4,
+        }
+        assert run([1, 3])[1]["settling_threshold"] is None
+        assert run([2])[1]["settling_threshold"] == 2
+
+    @pytest.mark.parametrize("multipliers", [[], [2, 1], [1, 1]])
+    def test_multipliers_must_ascend(self, multipliers):
+        with pytest.raises(ValueError, match="ascending"):
+            run_variability(
+                self.graph, self.costs, self.target, EnsembleConfig(k=1), multipliers, lambda *seed: None
+            )
+
+    def test_member_failure_names_its_multiplier(self):
+        bad = Graph.from_edges([(0, 1)], n=3)
+        costs = CostVector(w=np.ones(2), mode=self.costs.mode)  # wrong length
+        with pytest.raises(EnsembleMemberError) as excinfo:
+            run_variability(bad, costs, self.target, EnsembleConfig(k=2, base_seed=7), [3, 5], lambda *seed: None)
+        assert (excinfo.value.member_index, excinfo.value.seed, excinfo.value.multiplier) == (0, 7, 3)
+        assert "ensemble member 0 (seed 7) at multiplier 3 failed: " in str(excinfo.value)
+
+    # The study keeps one small row per member and drops each seed's
+    # members once it has handed them over, so its peak at K=16 exceeds
+    # its peak after the first 4 seeds by less than one seed's members.
+    # With two workers, up to three finished members can wait unread in
+    # the pool's four submitted tasks, so the bound is two seeds' members.
+    # gc.collect() at each seed clears the interpreter's free lists, whose
+    # filling would otherwise read as growth.  The pool's processes run
+    # untraced: only the parent's memory is measured.
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_flat_in_members(self, workers, monkeypatch):
+        g = load_bundled("sbm_600.txt")
+        costs = CostVector.unit(g)
+        target = DismantlingTarget.from_fraction(g.n)
+        init = ensemble._init_worker
+
+        def untraced_worker(*args):
+            tracemalloc.stop()
+            init(*args)
+
+        monkeypatch.setattr(ensemble, "_init_worker", untraced_worker)
+        peaks = []
+
+        def on_seed(*seed):
+            gc.collect()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+        tracemalloc.start()
+        try:
+            seed = list(ensemble._members(g, costs, target, EnsembleConfig(k=1), [1, 2]))
+            gc.collect()
+            seed_bytes = tracemalloc.get_traced_memory()[0]
+            del seed
+            gc.collect()
+            seed_bytes -= tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run_variability(g, costs, target, EnsembleConfig(k=16, workers=workers), [1, 2], on_seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 16
+        assert peak - peaks[3] <= workers * seed_bytes
 
 
 class TestDifferenceHistogram:

@@ -5,19 +5,23 @@ the sha256 of both artifacts with a pinned value.  A change that moves
 any of these hashes changes output bytes and has to say so; refactors
 and speed-ups must leave them alone.  The ensemble case also pins the
 member table, at one and at two workers, since results must not depend
-on the worker count.
+on the worker count.  The large cases run graphs above one _DOT_CHUNK,
+so the whole pipeline is pinned on the paths that only large components
+take.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from netdismantle import (
     CostVector,
     DismantlingTarget,
     EnsembleConfig,
+    Graph,
     cost_of,
     dismantle,
     reinsert,
@@ -25,7 +29,7 @@ from netdismantle import (
 )
 from netdismantle.serialize import report_to_dict, solution_json, to_json, trajectory_csv
 
-from conftest import BUNDLED, load_bundled
+from conftest import BUNDLED, heavy_tailed_edges, load_bundled
 
 SEED = 5
 
@@ -138,12 +142,47 @@ ENSEMBLE = (
 )
 
 
+# large graphs, reinsertion on: (edge array, solution.json, trajectory.csv)
+# sha256.  The heavy-tailed graph's large components take the step rows
+# sorted by length and the gather back into local order; the 8-regular
+# circulant keeps the local row order.  Both take _sumsq's chunked norms.
+# The edge array is pinned so that a change in numpy's generator streams
+# reads as "input moved", not as a solver change.
+LARGE = {
+    ("heavy_tailed_30k", "unit"): (
+        "fc332e74ba9cd96338765ab2a909dac69e1c5781de0a5bd5937f7ff6694b340b",
+        "f1abe2963fd0f725005528e456bcd632caf6438e543a1f07ce56f5ab9eca898f",
+        "a064898f98f16e09be656ef47aceccbb8c707f1571ff73dc57895572d2299567",
+    ),
+    ("heavy_tailed_30k", "degree"): (
+        "fc332e74ba9cd96338765ab2a909dac69e1c5781de0a5bd5937f7ff6694b340b",
+        "17f73f6a39d087c01367197627d4e28bb2d12b07d696188ac3342d02f6c5d934",
+        "7936a19b2249e3013fc91f78b2483a4a1e02f036183e16880f99e3ac17e7011f",
+    ),
+    ("circulant_12k", "unit"): (
+        "d047092dd1156f29eb634fa7cd07b45e558f50f5222aebbb8fa9443f9c407799",
+        "84bfecfb185b7a75e363495635d17adfb833524c1f6e3f527eeb0a6273c27b48",
+        "4759307a501b907ede2f589299169120960dcb2ed8868dcba4e137b7fd469c26",
+    ),
+}
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def large_edges(name: str) -> np.ndarray:
+    if name == "heavy_tailed_30k":
+        return heavy_tailed_edges(SEED, 30_000)
+    ring = np.arange(12_000)
+    return np.concatenate([np.column_stack([ring, (ring + d) % len(ring)]) for d in range(1, 5)])
+
+
 def single_hashes(name: str, mode: str, reinsertion: bool) -> tuple[str, str]:
-    graph = load_bundled(name)
+    return solve_hashes(load_bundled(name), mode, reinsertion)
+
+
+def solve_hashes(graph: Graph, mode: str, reinsertion: bool) -> tuple[str, str]:
     costs = CostVector.for_mode(graph, mode)
     target = DismantlingTarget.from_fraction(graph.n)
     solution = dismantle(graph, costs, target, seed=SEED)
@@ -177,6 +216,13 @@ def test_single_run_bytes(name, mode, reinsertion):
     assert single_hashes(name, mode, reinsertion) == SINGLE[(name, mode, reinsertion)]
 
 
+@pytest.mark.parametrize("name,mode", list(LARGE))
+def test_large_component_bytes(name, mode):
+    edges = large_edges(name)
+    assert hashlib.sha256(edges.tobytes()).hexdigest() == LARGE[(name, mode)][0], "input moved"
+    assert solve_hashes(Graph.from_edges(edges), mode, True) == LARGE[(name, mode)][1:]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ensemble_bytes(workers):
     assert ensemble_hashes(workers) == ENSEMBLE
@@ -186,4 +232,7 @@ if __name__ == "__main__":
     # prints the current hashes, to pin after a deliberate change of bytes
     for case in CASES:
         print(case, single_hashes(*case))
+    for name, mode in LARGE:
+        edges = large_edges(name)
+        print(name, mode, hashlib.sha256(edges.tobytes()).hexdigest(), solve_hashes(Graph.from_edges(edges), mode, True))
     print("ensemble", ensemble_hashes(1), ensemble_hashes(2))
