@@ -37,7 +37,7 @@ from .errors import (
     InvalidCostError,
     ParseError,
 )
-from .graph import ComponentDecomposition, Graph, Subgraph, components, full_mask, gcc_size, parse_edge_list
+from .graph import ComponentDecomposition, Graph, Subgraph, components, full_mask, parse_edge_list
 from .spectral import (
     Partition,
     SpectralVector,
@@ -81,7 +81,6 @@ __all__ = [
     "Subgraph",
     "components",
     "full_mask",
-    "gcc_size",
     "parse_edge_list",
     "Partition",
     "SpectralVector",

@@ -275,7 +275,7 @@ def _histogram_csv(hist) -> str:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    settings = _resolve_settings(args)
+    settings = _resolve_settings(args, unused=("ensemble", "workers"))
     started = time.perf_counter()
     graph = _load_graph(settings.input)
     parse_seconds = time.perf_counter() - started

@@ -86,8 +86,10 @@ class DismantlingSolution:
 
     gcc_after comes from replaying the deletion order over the graph,
     which happens once, on the first read of removal_order, trajectory or
-    final_gcc.  The replay then lets go of the graph, and a pickled
-    solution is always a replayed one.
+    final_gcc.  A solution may hold the forest of its final state (every
+    removed node out) for the replay to start from.  The replay then lets
+    go of the graph and the forest, and a pickled solution is always a
+    replayed one.
     """
 
     def __init__(
@@ -96,6 +98,7 @@ class DismantlingSolution:
         order: np.ndarray,
         node_costs: np.ndarray,
         metadata: SolutionMetadata,
+        forest: tuple[_UnionFind, int] | None = None,
     ):
         self.total_cost = float(node_costs.sum())
         self.metadata = metadata
@@ -103,11 +106,13 @@ class DismantlingSolution:
         self._costs = node_costs
         self._gcc_after: np.ndarray | None = None
         self._graph: Graph | None = graph
+        self._forest = forest
 
     def _replayed_gcc_after(self) -> np.ndarray:
         if self._gcc_after is None:
             started = time.perf_counter()
-            after, initial = replay_gcc_sizes(self._graph, self._order)
+            forest, self._forest = self._forest, None
+            after, initial = replay_gcc_sizes(self._graph, self._order, forest)
             if initial != self.metadata.initial_gcc:
                 raise InternalInvariantError("replayed initial gcc disagrees with direct computation")
             self._gcc_after, self._graph = after, None
@@ -185,46 +190,78 @@ class _UnionFind:
 
 
 def _roots_around(
-    graph: Graph, removed: np.ndarray, base: np.ndarray, uf: _UnionFind
-) -> tuple[list[int], dict[int, list[int]]]:
-    """For each removed node, in one pass over the removed nodes' rows:
-    the size of the component its return would form, and the distinct
-    component ids around it.  uf must hold the active nodes' components
-    as flat stars, so a component id is its root."""
+    graph: Graph, removed: np.ndarray, base: np.ndarray, uf: _UnionFind, c: int
+) -> tuple[np.ndarray, list[int], dict[int, list[int]]]:
+    """The removed nodes whose return would form a component of at most c
+    nodes, found in one pass over the removed nodes' rows: their ids, the
+    size of that component, and the distinct component ids around each.
+    uf must hold the active nodes' components as flat stars, so a
+    component id is its root."""
     rows, nbrs = _adjacency_flat(graph.indptr, graph.indices, removed)
     active = base[nbrs]
-    key = np.sort(rows[active] * graph.n + np.asarray(uf.parent)[nbrs[active]])
+    rows, nbrs = rows[active], nbrs[active]
+    del active
+    # keys in int64: an int32 row times n could wrap
+    key = rows.astype(np.int64, copy=False) * graph.n
+    del rows
+    key += np.asarray(uf.parent)[nbrs]
+    del nbrs
+    key.sort()
     owner, root = np.divmod(key[_run_starts(key)], graph.n)
+    del key
     merged = 1 + np.bincount(owner, minlength=len(removed), weights=np.asarray(uf.size)[root])
-    bounds = np.searchsorted(owner, np.arange(len(removed) + 1)).tolist()
+    ok = merged <= c
+    keep = ok[owner]
+    owner, root = owner[keep], root[keep]
+    feasible = np.flatnonzero(ok)
+    bounds = np.searchsorted(owner, feasible).tolist()
+    bounds.append(len(owner))
+    del owner
     flat = root.tolist()
-    roots = {v: flat[a:b] for v, a, b in zip(removed.tolist(), bounds, bounds[1:])}
-    return merged.astype(np.int64).tolist(), roots
+    del root
+    nodes = removed[feasible]
+    roots = {v: flat[a:b] for v, a, b in zip(nodes.tolist(), bounds, bounds[1:])}
+    return nodes, merged[feasible].astype(np.int64).tolist(), roots
 
 
-def replay_gcc_sizes(graph: Graph, order: np.ndarray) -> tuple[np.ndarray, int]:
+def replay_gcc_sizes(
+    graph: Graph, order: np.ndarray, forest: tuple[_UnionFind, int] | None = None
+) -> tuple[np.ndarray, int]:
     """Largest-component size after each removal prefix of order.
 
     Removing nodes one by one and recomputing components is quadratic, so
     the replay runs backward instead: start from everything removed,
     re-activate in reverse order, and union edges as they come back.
-    Returns (gcc size after each prefix, gcc size before any removal).
+    forest is that start, (union-find, gcc size), when the caller holds
+    it; the replay then takes it over.  Returns (gcc size after each
+    prefix, gcc size before any removal).
     """
-    base = full_mask(graph.n)
     order = np.asarray(order, dtype=np.int64)
-    base[order] = False
-    uf, current = _UnionFind.over_components(graph, base)
-    mask = base.tolist()
+    if forest is None:
+        base = full_mask(graph.n)
+        base[order] = False
+        forest = _UnionFind.over_components(graph, base)
+        del base
+    uf, current = forest
+    # the removed nodes' rows in one pass, keeping only the neighbours
+    # already back when a node returns: those removed after it, or never
+    position = np.full(graph.n, len(order), dtype=np.int64)
+    position[order] = np.arange(len(order))
+    rows, nbrs = _adjacency_flat(graph.indptr, graph.indices, order)
+    back = position[nbrs] > rows
+    del position
+    bounds = np.searchsorted(rows[back], np.arange(len(order) + 1)).tolist()
+    del rows
+    flat = nbrs[back].tolist()
+    del nbrs, back
     size = uf.size
     nodes = order.tolist()
     after = [0] * len(nodes)
     for i in range(len(nodes) - 1, -1, -1):
         after[i] = current
         v = nodes[i]
-        mask[v] = True
-        for u in graph.neighbors(v).tolist():
-            if mask[u]:
-                uf.union(v, u)
+        for u in flat[bounds[i] : bounds[i + 1]]:
+            uf.union(v, u)
         # unions only grow v's component, so its final size is the
         # largest any of them gave
         current = max(current, size[uf.find(v)])
@@ -236,9 +273,10 @@ def _build_solution(
     costs: CostVector,
     order: np.ndarray,
     metadata: SolutionMetadata,
+    forest: tuple[_UnionFind, int] | None = None,
 ) -> DismantlingSolution:
     order = np.asarray(order, dtype=np.int64)
-    return DismantlingSolution(graph, order, costs.w[order], metadata)
+    return DismantlingSolution(graph, order, costs.w[order], metadata, forest)
 
 
 def dismantle(
@@ -331,52 +369,59 @@ def reinsert(
     a list of nodes in the components around it, seeded with one
     component id each in one pass over the removed nodes' rows and
     extended whenever a neighbour returns, so a re-evaluation never
-    rescans a row.
+    rescans a row; a node found infeasible, or put back, drops its list.
+    The final forest is the state the replay of the result starts from,
+    so it is handed over rather than rebuilt.
     """
     t0 = time.perf_counter()
-    removed = np.sort(solution._deletion_order())
+    order = solution._deletion_order()
+    removed = np.sort(order)
     base = full_mask(graph.n)
     base[removed] = False
-    uf, _ = _UnionFind.over_components(graph, base)
-    size = uf.size
-    w = costs.w.tolist()
-    nodes = removed.tolist()
-    merged, roots = _roots_around(graph, removed, base, uf)
-    parent = uf.parent
-    heap = [(s, -w[v], v) for s, v in zip(merged, nodes) if s <= target.c]
+    uf, gcc = _UnionFind.over_components(graph, base)
+    nodes, merged, roots = _roots_around(graph, removed, base, uf, target.c)
+    del base, removed
+    heap = list(zip(merged, (-costs.w[nodes]).tolist(), nodes.tolist()))
+    del nodes, merged
     heapq.heapify(heap)
-    still_removed = set(nodes)
+    size, parent = uf.size, uf.parent
+    returned = []
     while heap:
         s, neg_w, v = heapq.heappop(heap)
         current = {uf.find(r) for r in roots[v]}
         s_now = 1 + sum(map(size.__getitem__, current))
         if s_now > target.c:
+            del roots[v]
             continue
         if s_now > s:
             heapq.heappush(heap, (s_now, neg_w, v))
             continue
-        still_removed.discard(v)
+        del roots[v]
+        returned.append(v)
         # v and the distinct roots around it join under the largest root
         top = max(current, key=size.__getitem__, default=v)
         parent[v] = top
         for r in current:
             parent[r] = top
         size[top] = s_now
+        gcc = max(gcc, s_now)
         for u in graph.neighbors(v).tolist():
-            if u in still_removed:
-                roots[u].append(v)
+            waiting = roots.get(u)
+            if waiting is not None:
+                waiting.append(v)
+    del heap, roots
     reinsert_seconds = time.perf_counter() - t0
 
-    order = solution._deletion_order()
-    keep = np.zeros(graph.n, dtype=bool)
-    keep[list(still_removed)] = True
-    order = order[keep[order]]
+    back = np.zeros(graph.n, dtype=bool)
+    back[returned] = True
+    order = order[~back[order]]
     metadata = replace(
         solution.metadata,
         reinserted=True,
         phase_seconds={**solution.metadata.phase_seconds, "reinsert": reinsert_seconds},
     )
-    result = _build_solution(graph, costs, order, metadata)
+    result = _build_solution(graph, costs, order, metadata, (uf, gcc))
+    del uf
     if result.total_cost > solution.total_cost + 1e-9:
         raise InternalInvariantError("reinsertion increased total cost")
     if result.final_gcc > target.c:

@@ -28,15 +28,13 @@ NodeMask = np.ndarray
 class Graph:
     """Simple undirected graph with 0-based contiguous node ids.
 
-    edges holds each undirected edge once as (u, v) with u < v, sorted
-    lexicographically.  indptr/indices form a CSR adjacency over both
-    directions.  labels maps id back to the token the node had in the
-    input file; graphs built directly from integer edges get string
-    digits as labels.
+    indptr/indices form a CSR adjacency over both directions, each row
+    sorted; indices is int32 while the ids fit.  labels maps id back to
+    the token the node had in the input file; graphs built directly from
+    integer edges get string digits as labels.
     """
 
     n: int
-    edges: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     labels: tuple[str, ...]
@@ -46,9 +44,17 @@ class Graph:
         """Node id of every label, built on first read."""
         return dict(zip(self.labels, range(self.n)))
 
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """Each undirected edge once as int64 (u, v) with u < v, sorted
+        lexicographically; derived from the CSR on first read."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        upper = rows < self.indices
+        return np.stack([rows[upper], self.indices[upper].astype(np.int64)], axis=1)
+
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.indices) // 2
 
     @property
     def degree(self) -> np.ndarray:
@@ -56,12 +62,6 @@ class Graph:
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    def subgraph(self, nodes: np.ndarray) -> "Subgraph":
-        """The subgraph induced on a nonempty node set."""
-        labels = np.full(self.n, -1, dtype=np.int64)
-        labels[nodes] = 0
-        return Subgraph(np.arange(self.n), self.indptr, self.indices).split(labels, 0)[0]
 
     def stats(self) -> dict:
         deg = self.degree
@@ -80,10 +80,13 @@ class Graph:
         labels: Iterable[str] | None = None,
     ) -> "Graph":
         """Build from integer pairs; drops self-loops and duplicates."""
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
+        arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if arr.dtype != np.int32:
+            arr = arr.astype(np.int64)
         arr = arr.reshape(-1, 2)
         lo = np.minimum(arr[:, 0], arr[:, 1])
         hi = np.maximum(arr[:, 0], arr[:, 1])
+        del arr
         if len(lo) and lo.min() < 0:
             raise ValueError("node ids must be nonnegative")
         keep = lo != hi
@@ -100,18 +103,26 @@ class Graph:
             if len(labels) != n:
                 raise ValueError("labels length must equal n")
         # one int64 key per pair, lo * base + hi, sorts as (lo, hi) does;
-        # the keys of both directions, sorted, are the CSR rows in order
+        # the keys of both directions, sorted, are the CSR rows in order.
+        # int32 ids times a Python int stay int32, so the keys start int64
         base = max(n_seen, 1)
-        key = np.sort(lo * base + hi)
+        key = lo.astype(np.int64)
+        key *= base
+        key += hi
+        del lo, hi
+        key.sort()
         key = key[_run_starts(key)]
         lo, hi = np.divmod(key, base)
-        both = np.concatenate([key, hi * base + lo])
-        both.sort()
-        indices = both % base
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n), out=indptr[1:])
-        edges = np.stack([lo, hi], axis=1)
-        return cls(n=n, edges=edges, indptr=indptr, indices=indices, labels=labels)
+        hi *= base
+        hi += lo
+        del lo
+        both = np.concatenate([key, hi])
+        del key, hi
+        both.sort()
+        np.remainder(both, base, out=both)
+        return cls(n=n, indptr=indptr, indices=both.astype(_index_dtype(n)), labels=labels)
 
 
 def full_mask(n: int) -> NodeMask:
@@ -368,9 +379,6 @@ class ComponentDecomposition:
     gcc_id: int
     gcc_size: int
 
-    def members(self, comp_id: int) -> np.ndarray:
-        return np.flatnonzero(self.component_id == comp_id)
-
 
 @dataclass(frozen=True)
 class Subgraph:
@@ -466,8 +474,3 @@ def components(graph: Graph, mask: NodeMask) -> ComponentDecomposition:
         gcc_id=int(canon[counts == top].min()) if top else -1,
         gcc_size=top,
     )
-
-
-def gcc_size(graph: Graph, mask: NodeMask) -> int:
-    """Size of the largest connected component of the masked graph."""
-    return components(graph, mask).gcc_size

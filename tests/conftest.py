@@ -113,7 +113,7 @@ def fiedler_test_instances(count: int, start_seed: int = 0, max_n: int = 100):
     import math
 
     from netdismantle import CostVector, build_operator, full_mask, iteration_budget
-    from oracles import jacobi_eigh
+    from oracles import jacobi_eigh, subgraph
 
     found = []
     seed = start_seed
@@ -129,7 +129,7 @@ def fiedler_test_instances(count: int, start_seed: int = 0, max_n: int = 100):
             lap[u, u] += b
             lap[v, v] += b
         lam, _ = jacobi_eigh(lap)
-        op = build_operator(graph.subgraph(np.arange(n)), costs)
+        op = build_operator(subgraph(graph, np.arange(n)), costs)
         budget = iteration_budget(n, 1)
         num = float(op.shift - lam[1])
         den = float(op.shift - lam[2])

@@ -5,7 +5,8 @@ hand-rolled BFS instead of scipy, optima come from subset enumeration,
 and the reference bisection vector comes from a dense cyclic Jacobi
 eigensolver written out below rather than any library call.  Each oracle
 refuses inputs beyond a hard size budget instead of silently taking
-minutes.
+minutes.  The last section holds thin conveniences over the library
+that only tests call.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from netdismantle import CostVector, Graph
+from netdismantle import ComponentDecomposition, CostVector, Graph, Subgraph, components
 from netdismantle.graph import NodeMask
 
 
@@ -205,3 +206,23 @@ def dense_fiedler(
             lap[j, j] += b
     eigenvalues, vectors = jacobi_eigh(lap)
     return float(eigenvalues[1]), vectors[:, 1].copy()
+
+
+# Conveniences over the library, for tests only
+
+
+def subgraph(graph: Graph, nodes: np.ndarray) -> Subgraph:
+    """The subgraph a graph induces on a nonempty node set."""
+    labels = np.full(graph.n, -1, dtype=np.int64)
+    labels[nodes] = 0
+    return Subgraph(np.arange(graph.n), graph.indptr, graph.indices).split(labels, 0)[0]
+
+
+def members(decomposition: ComponentDecomposition, comp_id: int) -> np.ndarray:
+    """The node ids of one component, ascending."""
+    return np.flatnonzero(decomposition.component_id == comp_id)
+
+
+def gcc_size(graph: Graph, mask: NodeMask) -> int:
+    """Size of the largest connected component of the masked graph."""
+    return components(graph, mask).gcc_size

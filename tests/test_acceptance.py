@@ -50,6 +50,8 @@ from oracles import (
     brute_force_min_dismantling,
     brute_force_min_vertex_cover,
     dense_fiedler,
+    members,
+    subgraph,
 )
 
 
@@ -156,7 +158,7 @@ def test_c03_spectral_fidelity():
     # at least 100 over P, otherwise no start vector can converge
     cosines = []
     for graph, costs, budget, seed in fiedler_test_instances(20, max_n=60):
-        op = build_operator(graph.subgraph(np.arange(graph.n)), costs)
+        op = build_operator(subgraph(graph, np.arange(graph.n)), costs)
         vec = approx_fiedler(op, seed, budget)
         _, exact = dense_fiedler(graph, full_mask(graph.n), costs, np.arange(graph.n))
         cosines.append(abs(float(vec.values @ exact)))
@@ -278,17 +280,17 @@ def test_c07_fine_tuning_properties():
             in_m[0] = not in_m[0]
         partition = Partition(nodes=np.arange(n), in_m=in_m)
         mask = full_mask(n)
-        before = len(cut_edges(graph.subgraph(np.arange(n)), partition))
+        before = len(cut_edges(subgraph(graph, np.arange(n)), partition))
         flips: list[int] = []
-        tuned = fine_tune_partition(graph.subgraph(np.arange(n)), partition, flip_log=flips)
-        after = len(cut_edges(graph.subgraph(np.arange(n)), tuned))
+        tuned = fine_tune_partition(subgraph(graph, np.arange(n)), partition, flip_log=flips)
+        after = len(cut_edges(subgraph(graph, np.arange(n)), tuned))
         assert after <= before
         labels = partition.in_m.copy()
         current = before
         for v in flips:
             labels[v] = ~labels[v]
             stepped = len(
-                cut_edges(graph.subgraph(np.arange(n)), Partition(nodes=partition.nodes, in_m=labels))
+                cut_edges(subgraph(graph, np.arange(n)), Partition(nodes=partition.nodes, in_m=labels))
             )
             assert current - stepped == graph.degree[v], (i, v)
             current = stepped
@@ -304,12 +306,12 @@ def test_c07_fine_tuning_properties():
         from netdismantle import components
 
         decomposition = components(petster, full_mask(petster.n))
-        comp = decomposition.members(decomposition.gcc_id)
-        op = build_operator(petster.subgraph(comp), costs)
+        comp = members(decomposition, decomposition.gcc_id)
+        op = build_operator(subgraph(petster, comp), costs)
         vec = approx_fiedler(op, mix_seed(0, 0), iteration_budget(len(comp), 1))
         part = sign_partition(vec)
         flips = []
-        fine_tune_partition(petster.subgraph(comp), part, flip_log=flips)
+        fine_tune_partition(subgraph(petster, comp), part, flip_log=flips)
         sub_ok = len(flips) > 0
         subnote = f"first bisection of petster-hamster flipped {len(flips)} nodes"
     record_criterion(

@@ -418,6 +418,24 @@ class TestBenchCommand:
         assert bench["parse_seconds"] >= 0.0
         assert "parse" not in bench["phase_seconds"]
 
+    @pytest.mark.parametrize("flag,key", [("--ensemble", "ensemble"), ("--workers", "workers")])
+    def test_ensemble_settings_are_usage_errors(self, ring_graph, tmp_path, capsys, flag, key):
+        # bench times one member; an ensemble size or a pool would be ignored
+        common = ["bench", "--input", ring_graph, "--target-size", "2"]
+        assert run([*common, flag, "7", "--out", tmp_path / "flag"]) == 2
+        assert flag in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 7}))
+        assert run([*common, "--config", cfg, "--out", tmp_path / "config"]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "flag").exists() and not (tmp_path / "config").exists()
+
+    def test_workers_environment_is_accepted(self, ring_graph, tmp_path, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "3")
+        out = tmp_path / "out"
+        assert run(["bench", "--input", ring_graph, "--target-size", "2", "--out", out]) == 0
+        assert (out / "bench.json").is_file()
+
 
 class TestStatsCommand:
     def test_prints_summary(self, path_graph, capsys):

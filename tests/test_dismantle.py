@@ -5,6 +5,7 @@ import importlib
 import math
 import pickle
 import time
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,7 +44,7 @@ from netdismantle.serialize import solution_json, trajectory_csv
 from netdismantle.spectral import _UNDERFLOW, SpectralVector, _UnderflowCollapse
 
 from conftest import BUNDLED, heavy_tailed_graph, load_bundled, random_connected_graph, random_graph
-from oracles import bfs_gcc_size, brute_force_min_dismantling
+from oracles import bfs_gcc_size, brute_force_min_dismantling, members, subgraph
 
 
 def unit(g):
@@ -442,6 +443,51 @@ class TestReinsertReference:
         assert_same_reinsertion(g, costs, DismantlingTarget.absolute(c), handmade)
 
 
+class TestReinsertMemory:
+    """reinsert keeps a root list only for nodes that can still return,
+    and its final forest is where the replay of its result starts."""
+
+    # tracemalloc peak of one reinsert, its replay included, per node that
+    # dismantle removed, on heavy_tailed_graph(5, 30_000) with degree costs
+    # (C = 300; 14,788 removed, 9,441 kept; numpy 2.4): 765 bytes while
+    # every removed node kept a root list and the replay rebuilt the forest
+    # from a components pass, 470 bytes with the pruned lists and the
+    # forest handed over
+    PEAK_BYTES_PER_REMOVED = 600
+
+    @pytest.fixture(scope="class")
+    def dismantled(self):
+        g = heavy_tailed_graph(5, 30_000)
+        costs = CostVector.degree(g)
+        target = DismantlingTarget.from_fraction(g.n)
+        return g, costs, target, dismantle(g, costs, target, seed=0)
+
+    def test_peak_per_removed_node(self, dismantled):
+        g, costs, target, first = dismantled
+        # dismantle ran before tracing starts: the power iteration stays out
+        tracemalloc.start()
+        try:
+            repaired = reinsert(g, costs, target, first)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert repaired.final_gcc <= target.c
+        assert peak <= self.PEAK_BYTES_PER_REMOVED * first.removed_count
+
+    def test_one_whole_graph_components_call(self, dismantled, monkeypatch):
+        g, costs, target, first = dismantled
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return components(*args, **kwargs)
+
+        monkeypatch.setattr(importlib.import_module("netdismantle.dismantle"), "components", counted)
+        repaired = reinsert(g, costs, target, first)
+        repaired.removal_order, repaired.trajectory
+        assert len(calls) == 1
+
+
 class TestLazyReplay:
     """The removal order is replayed once, on first read, and never twice."""
 
@@ -785,7 +831,7 @@ def reference_dismantle(graph, costs, target, seed=0, iter_multiplier=1, fine_tu
     decomposition = components(graph, mask)
     batches: list[np.ndarray] = []
     while decomposition.gcc_size > target.c:
-        comp = decomposition.members(decomposition.gcc_id)
+        comp = members(decomposition, decomposition.gcc_id)
         if len(comp) == 2:
             partition = Partition(nodes=comp, in_m=np.array([True, False]))
         else:
@@ -862,7 +908,7 @@ class TestLoopReference:
         # the first operator sorts its step rows by length
         g = heavy_tailed_graph(3, 10_000)
         costs = CostVector.for_mode(g, mode)
-        assert build_operator(g.subgraph(np.arange(g.n)), costs).order is not None
+        assert build_operator(subgraph(g, np.arange(g.n)), costs).order is not None
         assert_same_run(g, costs, DismantlingTarget.from_fraction(g.n), seed=3, fine_tuning=True)
 
     @settings(max_examples=80, deadline=None)

@@ -13,12 +13,11 @@ from netdismantle import (
     ParseError,
     components,
     full_mask,
-    gcc_size,
     parse_edge_list,
 )
 
 from conftest import BUNDLED, DATA_DIR, random_graph
-from oracles import bfs_components
+from oracles import bfs_components, gcc_size, members
 
 
 class TestParsing:
@@ -97,7 +96,7 @@ def reference_from_edges(edges, n=None, labels=None):
     counts = np.bincount(src, minlength=n) if len(arr) else np.zeros(n, np.int64)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return Graph(n=n, edges=arr, indptr=indptr, indices=indices, labels=labels)
+    return Graph(n=n, indptr=indptr, indices=indices.astype(np.int32), labels=labels)
 
 
 def reference_parse(text):
@@ -277,6 +276,24 @@ def _traced_peak(parse, text):
         tracemalloc.stop()
 
 
+def test_graph_stores_int32_indices_and_derives_edges_on_read():
+    pairs = np.random.default_rng(9).integers(0, 3_000, size=(20_000, 2))
+    g = parse_edge_list("".join(f"{u} {v}\n" for u, v in pairs.tolist()))
+    assert g.indices.dtype == np.int32
+    assert g.indptr.dtype == np.int64
+    assert "edges" not in vars(g)
+    # each drawn pair once, as ids, (lo, hi) in lexicographic order
+    ids = np.array([g.id_map[str(v)] for v in pairs.ravel().tolist()], dtype=np.int64).reshape(-1, 2)
+    lo, hi = ids.min(axis=1), ids.max(axis=1)
+    expected = np.unique(np.stack([lo, hi], axis=1)[lo != hi], axis=0)
+    assert g.m == len(expected)
+    edges = g.edges
+    assert "edges" in vars(g)
+    assert edges.dtype == np.int64
+    assert np.array_equal(edges, expected)
+    assert g.edges is edges
+
+
 def test_parse_peak_memory_no_larger_than_reference():
     # about 100k edges over 20k nodes, as a benchmark input file is written
     pairs = np.random.default_rng(5).integers(0, 20_000, size=(100_000, 2))
@@ -358,7 +375,7 @@ class TestComponents:
     def test_members_sorted(self):
         g = Graph.from_edges([(3, 5), (5, 9)], n=10)
         dec = components(g, full_mask(10))
-        assert dec.members(3).tolist() == [3, 5, 9]
+        assert members(dec, 3).tolist() == [3, 5, 9]
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 40), drop=st.integers(0, 30))
@@ -371,14 +388,14 @@ class TestComponents:
         dec = components(g, mask)
         oracle = {frozenset(c) for c in bfs_components(g, mask)}
         mine = {
-            frozenset(int(v) for v in dec.members(c)) for c in dec.sizes
+            frozenset(int(v) for v in members(dec, c)) for c in dec.sizes
         }
         assert mine == oracle
         if oracle:
             assert dec.gcc_size == max(len(c) for c in oracle)
         for comp_id, size in dec.sizes.items():
-            assert comp_id == min(int(v) for v in dec.members(comp_id))
-            assert size == len(dec.members(comp_id))
+            assert comp_id == min(int(v) for v in members(dec, comp_id))
+            assert size == len(members(dec, comp_id))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 30))

@@ -40,7 +40,7 @@ from netdismantle.spectral import (
 )
 
 from conftest import BUNDLED, fiedler_test_instances, heavy_tailed_graph, load_bundled, random_connected_graph
-from oracles import dense_fiedler
+from oracles import dense_fiedler, members, subgraph
 
 
 def unit(g):
@@ -50,7 +50,7 @@ def unit(g):
 class TestOperator:
     def test_single_edge_unit(self):
         g = Graph.from_edges([(0, 1)])
-        op = build_operator(g.subgraph(np.array([0, 1])), unit(g))
+        op = build_operator(subgraph(g, np.array([0, 1])), unit(g))
         assert op.b[0, 1] == 2.0
         assert op.weighted_degree.tolist() == [2.0, 2.0]
         assert op.shift == 4.0
@@ -58,7 +58,7 @@ class TestOperator:
     def test_path_costs_121(self):
         g = Graph.from_edges([(0, 1), (1, 2)])
         costs = CostVector(w=np.array([1.0, 2.0, 1.0]), mode=CostMode.UNIT)
-        op = build_operator(g.subgraph(np.arange(3)), costs)
+        op = build_operator(subgraph(g, np.arange(3)), costs)
         assert op.b[0, 1] == 3.0
         assert op.b[1, 2] == 3.0
         assert op.weighted_degree.tolist() == [3.0, 6.0, 3.0]
@@ -67,14 +67,14 @@ class TestOperator:
     def test_rejects_tiny_component(self):
         g = Graph.from_edges([(0, 1)])
         with pytest.raises(ComponentTooSmallError):
-            build_operator(g.subgraph(np.array([0])), unit(g))
+            build_operator(subgraph(g, np.array([0])), unit(g))
 
     def test_laplacian_annihilates_ones_and_is_psd(self):
         rng = np.random.default_rng(11)
         for seed in range(20):
             g = random_connected_graph(seed, int(rng.integers(3, 50)))
             costs = CostVector.degree(g)
-            op = build_operator(g.subgraph(np.arange(g.n)), costs)
+            op = build_operator(subgraph(g, np.arange(g.n)), costs)
             ones = np.ones(op.size)
             assert np.abs(op.laplacian_matvec(ones)).max() < 1e-9
             for _ in range(5):
@@ -83,7 +83,7 @@ class TestOperator:
 
     def test_local_ids_follow_sorted_globals(self):
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
-        op = build_operator(g.subgraph(np.array([4, 2, 1, 3])), unit(g))
+        op = build_operator(subgraph(g, np.array([4, 2, 1, 3])), unit(g))
         assert op.nodes.tolist() == [1, 2, 3, 4]
 
 
@@ -107,21 +107,21 @@ class TestApproxFiedler:
     def test_unit_norm_and_zero_mean(self):
         for seed in range(5):
             g = random_connected_graph(seed, 40)
-            op = build_operator(g.subgraph(np.arange(g.n)), unit(g))
+            op = build_operator(subgraph(g, np.arange(g.n)), unit(g))
             v = approx_fiedler(op, seed, iteration_budget(g.n, 1))
             assert abs(np.linalg.norm(v.values) - 1.0) < 1e-12
             assert abs(v.values.mean()) < 1e-9 * np.sqrt(g.n)
 
     def test_deterministic_bitwise(self):
         g = random_connected_graph(3, 30)
-        op = build_operator(g.subgraph(np.arange(g.n)), unit(g))
+        op = build_operator(subgraph(g, np.arange(g.n)), unit(g))
         a = approx_fiedler(op, 42, 100)
         b = approx_fiedler(op, 42, 100)
         assert (a.values == b.values).all()
 
     def test_two_triangles_bridge_split(self):
         g = Graph.from_edges([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
-        op = build_operator(g.subgraph(np.arange(6)), unit(g))
+        op = build_operator(subgraph(g, np.arange(6)), unit(g))
         for seed in range(5):
             v = approx_fiedler(op, seed, iteration_budget(6, 1))
             signs = v.values < 0
@@ -136,7 +136,7 @@ class TestApproxFiedler:
         # within the budget; below it no start vector can converge
         for g, costs, budget, seed in fiedler_test_instances(10, max_n=60):
             n = g.n
-            op = build_operator(g.subgraph(np.arange(n)), costs)
+            op = build_operator(subgraph(g, np.arange(n)), costs)
             v = approx_fiedler(op, seed, budget)
             _, exact = dense_fiedler(g, full_mask(n), costs, np.arange(n))
             cosine = abs(float(v.values @ exact))
@@ -146,13 +146,13 @@ class TestApproxFiedler:
         # cI - L maps every zero-mean vector on 2 nodes to zero, so both
         # starts collapse and the contract error surfaces
         g = Graph.from_edges([(0, 1)])
-        op = build_operator(g.subgraph(np.array([0, 1])), unit(g))
+        op = build_operator(subgraph(g, np.array([0, 1])), unit(g))
         with pytest.raises(DegenerateSpectrumError, match="degenerate spectrum"):
             approx_fiedler(op, 0, 18)
 
     def test_rejects_zero_iterations(self):
         g = Graph.from_edges([(0, 1), (1, 2)])
-        op = build_operator(g.subgraph(np.arange(3)), unit(g))
+        op = build_operator(subgraph(g, np.arange(3)), unit(g))
         with pytest.raises(ValueError):
             approx_fiedler(op, 0, 0)
 
@@ -161,7 +161,7 @@ class TestApproxFiedler:
         # Laplacian bisection computed densely
         for seed in range(5):
             g = random_connected_graph(100 + seed, 25)
-            op = build_operator(g.subgraph(np.arange(g.n)), unit(g))
+            op = build_operator(subgraph(g, np.arange(g.n)), unit(g))
             v = approx_fiedler(op, seed, iteration_budget(g.n, 2))
             _, exact = dense_fiedler(g, full_mask(g.n), unit(g), np.arange(g.n))
             agreement = np.sign(v.values) == np.sign(exact)
@@ -252,7 +252,7 @@ def assert_same_bytes(got, want):
 
 
 def assert_hot_path_matches_reference(graph, costs, comp, seed):
-    op = build_operator(graph.subgraph(comp), costs)
+    op = build_operator(subgraph(graph, comp), costs)
     want = reference_b(graph, costs, op.nodes)
     for name in ("indptr", "indices", "data"):
         assert_same_bytes(getattr(op.b, name), getattr(want, name))
@@ -279,7 +279,7 @@ class TestHotPathReference:
         graph = load_bundled(name)
         mask = full_mask(graph.n)
         decomposition = components(graph, mask)
-        comp = decomposition.members(decomposition.gcc_id)
+        comp = members(decomposition, decomposition.gcc_id)
         costs = CostVector.for_mode(graph, mode)
         assert_hot_path_matches_reference(graph, costs, comp, seed=graph.n)
 
@@ -300,7 +300,7 @@ class TestHotPathReference:
         if decomposition.gcc_size < 2:
             mask = full_mask(n)
             decomposition = components(graph, mask)
-        comp = decomposition.members(decomposition.gcc_id)
+        comp = members(decomposition, decomposition.gcc_id)
         costs = CostVector.for_mode(graph, mode)
         assert_hot_path_matches_reference(graph, costs, comp, seed=seed)
 
@@ -320,7 +320,7 @@ class TestHotPathReference:
     def test_heavy_tailed_component_above_one_dot_chunk(self, mode):
         graph = heavy_tailed_graph(11, 3 * _DOT_CHUNK)
         costs = CostVector.for_mode(graph, mode)
-        op = build_operator(graph.subgraph(np.arange(graph.n)), costs)
+        op = build_operator(subgraph(graph, np.arange(graph.n)), costs)
         assert op.order is not None
         assert (np.diff(np.diff(op.step[0])) >= 0).all()
         for budget in (1, 7, iteration_budget(op.size)):
@@ -332,7 +332,7 @@ class TestHotPathReference:
         n = 12_000
         ring = np.arange(n)
         graph = Graph.from_edges(np.concatenate([np.column_stack([ring, (ring + d) % n]) for d in range(1, 5)]))
-        op = build_operator(graph.subgraph(ring), unit(graph))
+        op = build_operator(subgraph(graph, ring), unit(graph))
         assert op.order is None
         assert_same_bytes(op.step[0], op.b.indptr + np.arange(n + 1, dtype=op.b.indptr.dtype))
 
@@ -344,14 +344,14 @@ class TestHotPathReference:
 THREADED_ITERATE_SCRIPT = """
 import hashlib, sys
 import numpy as np
-from netdismantle import CostVector, Graph
+from netdismantle import CostVector, Graph, Subgraph
 from netdismantle.rng import initial_vector
 from netdismantle.spectral import _power_iterate, build_operator
 n = 30_000
 ring = np.arange(n)
 chords = np.random.default_rng(7).integers(0, n, size=(2 * n, 2))
 graph = Graph.from_edges(np.concatenate([np.column_stack([ring, (ring + 1) % n]), chords]), n=n)
-op = build_operator(graph.subgraph(ring), CostVector.degree(graph))
+op = build_operator(Subgraph(ring, graph.indptr, graph.indices), CostVector.degree(graph))
 assert op.order is not None
 x = _power_iterate(op, initial_vector(1, n), 40)
 sys.stdout.write(hashlib.sha256(x.tobytes()).hexdigest())
@@ -436,7 +436,7 @@ def naive_fine_tune(graph, mask, partition):
 def count_cut(graph, partition):
     from netdismantle import cut_edges
 
-    return len(cut_edges(graph.subgraph(partition.nodes), partition))
+    return len(cut_edges(subgraph(graph, partition.nodes), partition))
 
 
 class TestFineTune:
@@ -445,7 +445,7 @@ class TestFineTune:
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
         p = Partition(nodes=np.arange(4), in_m=np.array([True, True, False, False]))
         flips: list[int] = []
-        q = fine_tune_partition(g.subgraph(np.arange(4)), p, flip_log=flips)
+        q = fine_tune_partition(subgraph(g, np.arange(4)), p, flip_log=flips)
         assert flips == []
         assert (q.in_m == p.in_m).all()
 
@@ -456,7 +456,7 @@ class TestFineTune:
         g = Graph.from_edges([(0, 1), (1, 2)])
         p = Partition(nodes=np.arange(3), in_m=np.array([False, True, False]))
         flips: list[int] = []
-        q = fine_tune_partition(g.subgraph(np.arange(3)), p, flip_log=flips)
+        q = fine_tune_partition(subgraph(g, np.arange(3)), p, flip_log=flips)
         assert flips == [0]
         assert q.in_m.tolist() == [True, True, False]
         assert count_cut(g, q) == 1
@@ -467,7 +467,7 @@ class TestFineTune:
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
         p = Partition(nodes=np.arange(4), in_m=np.array([False, True, False, True]))
         flips: list[int] = []
-        q = fine_tune_partition(g.subgraph(np.arange(4)), p, flip_log=flips)
+        q = fine_tune_partition(subgraph(g, np.arange(4)), p, flip_log=flips)
         assert flips == [0, 3]
         assert q.in_m.tolist() == [True, True, False, False]
         assert count_cut(g, q) == 1
@@ -481,7 +481,7 @@ class TestFineTune:
         p = Partition(nodes=np.arange(6), in_m=in_m)
         before = count_cut(g, p)
         flips: list[int] = []
-        q = fine_tune_partition(g.subgraph(np.arange(6)), p, flip_log=flips)
+        q = fine_tune_partition(subgraph(g, np.arange(6)), p, flip_log=flips)
         assert before == 4
         assert q.in_m[0]
         assert flips == [2, 3, 4]
@@ -493,14 +493,14 @@ class TestFineTune:
         g = Graph.from_edges([(0, i) for i in range(1, 6)])
         in_m = np.array([False, True, True, True, True, True])
         p = Partition(nodes=np.arange(6), in_m=in_m)
-        q = fine_tune_partition(g.subgraph(np.arange(6)), p)
+        q = fine_tune_partition(subgraph(g, np.arange(6)), p)
         assert q.size_m == 1
         assert count_cut(g, q) == 1
 
     def test_zero_degree_node_never_flips(self):
         g = Graph.from_edges([(0, 1)], n=3)
         p = Partition(nodes=np.arange(3), in_m=np.array([True, False, True]))
-        q = fine_tune_partition(g.subgraph(np.arange(3)), p)
+        q = fine_tune_partition(subgraph(g, np.arange(3)), p)
         assert q.in_m[2]
 
     @settings(max_examples=60, deadline=None)
@@ -512,7 +512,7 @@ class TestFineTune:
         if in_m.all() or not in_m.any():
             in_m[0] = not in_m[0]
         p = Partition(nodes=np.arange(n), in_m=in_m)
-        fast = fine_tune_partition(g.subgraph(np.arange(n)), p)
+        fast = fine_tune_partition(subgraph(g, np.arange(n)), p)
         slow = naive_fine_tune(g, full_mask(n), p)
         assert (fast.in_m == slow.in_m).all()
 
@@ -527,7 +527,7 @@ class TestFineTune:
         p = Partition(nodes=np.arange(n), in_m=in_m)
         before = count_cut(g, p)
         flips: list[int] = []
-        q = fine_tune_partition(g.subgraph(np.arange(n)), p, flip_log=flips)
+        q = fine_tune_partition(subgraph(g, np.arange(n)), p, flip_log=flips)
         after = count_cut(g, q)
         assert after <= before
         if flips:
