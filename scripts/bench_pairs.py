@@ -19,7 +19,8 @@ BENCHMARK.json ("unresolved" when the parent's IQR alone exceeds the
 bound and some run of the parent beats some run of the change).  The
 same numbers go to BENCH_<workload>.json in the change checkout
 (BENCH_<workload>_trace.json with --trace 1), next to the environment
-(CPU, library versions, src/ lines) of the change's last run.
+(CPU, library versions, src/ lines) of the change's last run and the
+src/ line count of both checkouts.
 
 Exit codes: 0 when every seed's outputs agree and no op failed, 1 when
 outputs differ or an op failed, 2 when a run did not finish.  Each
@@ -61,6 +62,12 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: in
         raise RunFailed(f"{checkout} seed {seed} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     *_, summary, result = proc.stdout.strip().splitlines()
     return json.loads(summary), json.loads(result)
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the Python files under the checkout's src/, counted as
+    benchmark/measure.py counts them."""
+    return sum(len(path.read_text().splitlines()) for path in (checkout / "src").rglob("*.py"))
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -122,6 +129,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     better, bounds = load_spec(checkouts["change"])
+    lines = {side: src_lines(checkout) for side, checkout in checkouts.items()}
 
     values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
     mismatched: list[int] = []
@@ -185,6 +193,7 @@ def main(argv: list[str] | None = None) -> int:
               "regression = median worse than the parent's by more than the bound")
         print("\n".join(verdicts))
     print(f"outputs identical on {len(args.seeds) - len(mismatched)}/{len(args.seeds)} seeds, failed ops {failed_ops}")
+    print(f"src/ lines: parent {lines['parent']}, change {lines['change']}")
     bench = {
         "workload": args.workload,
         "seeds": [args.seeds[0], args.seeds[-1]],
@@ -192,6 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": args.seconds,
         "trace": args.trace,
         "environment": environment,
+        "src_lines": lines,
         "metrics": metrics,
         "outputs_identical": len(args.seeds) - len(mismatched),
         "failed_ops": failed_ops,

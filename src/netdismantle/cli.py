@@ -140,7 +140,7 @@ def _resolve_settings(args: argparse.Namespace, unused: tuple[str, ...] = ()) ->
 
 def _load_graph(path: str) -> Graph:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _UsageError(f"cannot read input: {exc}") from exc
     except UnicodeDecodeError as exc:

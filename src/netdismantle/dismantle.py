@@ -17,6 +17,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -51,7 +52,8 @@ class DismantlingTarget:
     def from_fraction(cls, n: int, fraction: float = 0.01) -> "DismantlingTarget":
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
-        return cls(c=max(1, math.ceil(fraction * n)), fraction=fraction)
+        # the decimal the float prints as, so 0.07 * 100 is 7, not 7.000000000000001
+        return cls(c=max(1, math.ceil(Fraction(str(float(fraction))) * n)), fraction=fraction)
 
     @classmethod
     def absolute(cls, c: int) -> "DismantlingTarget":

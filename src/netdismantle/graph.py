@@ -129,13 +129,18 @@ def full_mask(n: int) -> NodeMask:
     return np.ones(n, dtype=bool)
 
 
-def _is_break(char: str) -> bool:
-    return ("x" + char + "x").splitlines() == ["x", "x"]
-
-
-# indexed by code point: what str.split() and str.splitlines() split on
-_ASCII_SPACE = np.array([chr(c).isspace() for c in range(33)])
-_ASCII_BREAK = np.array([_is_break(chr(c)) for c in range(33)])
+# what str.split() and str.splitlines() split on, all in the Basic
+# Multilingual Plane; as keys, their UTF-8 bytes read as little-endian
+_SPACES = [c for c in map(chr, range(0x10000)) if c.isspace()]
+_BREAKS = [c for c in _SPACES if f"x{c}x".splitlines() == ["x", "x"]]
+_SPACE_KEYS = np.array([int.from_bytes(c.encode(), "little") for c in _SPACES], dtype=np.uint64)
+_BREAK_KEYS = _SPACE_KEYS[[c in _BREAKS for c in _SPACES]]
+# indexed by byte: whether it occurs in a whitespace character, whether
+# it breaks lines alone, and the width of the whitespace it leads
+_SPACE = np.isin(np.arange(256), list("".join(_SPACES).encode()))
+_BREAK = np.isin(np.arange(256), [ord(c) for c in _BREAKS if c.isascii()])
+_SPAN = np.zeros(256, dtype=np.uint8)
+_SPAN[[c.encode()[0] for c in _SPACES]] = [len(c.encode()) for c in _SPACES]
 # indexed by the byte width w < 8 of a token that packs into a key: the
 # mask of its bytes in a little-endian uint64, and the bits just above
 # them that tag it with its width
@@ -148,31 +153,39 @@ def _index_dtype(size: int) -> type:
     return np.int32 if size < 2**31 else np.int64
 
 
-def _classes(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(is whitespace, is line break) for code points as str.split() and
-    str.splitlines() see them."""
-    if chars.dtype == np.uint8:
-        return np.take(_ASCII_SPACE, chars), np.take(_ASCII_BREAK, chars)
-    present = np.unique(chars)
-    text = [chr(c) for c in present.tolist()]
-    space = present[[c.isspace() for c in text]]
-    breaks = present[[_is_break(c) for c in text]]
-    return np.isin(chars, space), np.isin(chars, breaks)
-
-
-def _whitespace(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions of a text's whitespace, as str.split() finds it, the
-    code points there, and which of them break lines as
-    str.splitlines() does."""
-    # no code point from 33 to 0x84 is whitespace
-    near = codes <= 32 if codes.dtype == np.uint8 else (codes <= 32) | (codes >= 0x85)
+def _whitespace(codes: np.ndarray, ascii: bool, breaks: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the whitespace bytes of UTF-8 text, as str.split()
+    finds whitespace, and which of them break lines: those at the given
+    break positions, or, for None, where str.splitlines() breaks."""
+    near, wide = codes <= 32, []
+    if not ascii:
+        # multi-byte characters lead with 0xC2 up; where a whole sequence
+        # is whitespace, each of its bytes is
+        lead = np.flatnonzero(codes >= 0xC2)
+        width = np.take(_SPAN, np.take(codes, lead))
+        lead, width = lead[width > 1], width[width > 1]
+        keys = _words(codes, lead) & np.take(_LOW_BYTES, width)
+        hit = np.isin(keys, _SPACE_KEYS, kind="sort")
+        for offset in range(_SPAN.max()):
+            near[lead[hit & (width > offset)] + offset] = True
+        wide = lead[np.isin(keys, _BREAK_KEYS, kind="sort")]
     at = np.flatnonzero(near)
     del near
     chars = np.take(codes, at)
-    space, is_break = _classes(chars)
+    space = np.take(_SPACE, chars)
     if not space.all():
-        at, chars, is_break = at[space], chars[space], is_break[space]
-    return at, chars, is_break
+        at, chars = at[space], chars[space]
+    if breaks is None:
+        is_break = np.take(_BREAK, chars)
+        # "\r\n" is one break, at the "\r"
+        cr = np.flatnonzero(chars[:-1] == 13)
+        lf = cr + 1
+        is_break[lf[(chars[lf] == 10) & (at[lf] == at[cr] + 1)]] = False
+        breaks = wide
+    else:
+        is_break = np.zeros(len(at), dtype=bool)
+    is_break[np.searchsorted(at, breaks)] = True
+    return at, is_break
 
 
 def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
@@ -184,8 +197,7 @@ def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
 
 def _words(data: np.ndarray, at: np.ndarray) -> np.ndarray:
     """The 8 bytes from each ascending offset of a byte array, read as a
-    little-endian uint64 (the byte order the code points are read in);
-    bytes past the end read as zero."""
+    little-endian uint64; bytes past the end read as zero."""
     if len(data) < 8:
         data = np.concatenate([data, np.zeros(8 - len(data), dtype=np.uint8)])
     last = len(data) - 8
@@ -210,15 +222,14 @@ def _intern(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple
     count = len(starts)
     index = _index_dtype(count)
     bits = (count - 1).bit_length()
-    widths = lengths * codes.itemsize
-    packs = widths <= (61 - bits) // 8
+    packs = lengths <= (61 - bits) // 8
     # every token's group of equal tokens, and each group's first token
     group = np.empty(count, dtype=index)
     firsts = []
     packed = None if packs.all() else np.flatnonzero(packs)
     if packed is None or len(packed):
-        at, width = (starts, widths) if packed is None else (starts[packed], widths[packed])
-        keys = _words(codes.view(np.uint8), at * codes.itemsize)
+        at, width = (starts, lengths) if packed is None else (starts[packed], lengths[packed])
+        keys = _words(codes, at)
         keys &= np.take(_LOW_BYTES, width)
         keys |= np.take(_WIDTH_TAG, width)
         del at, width
@@ -237,13 +248,10 @@ def _intern(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple
         wide = wide[np.argsort(lengths[wide], kind="stable")]
         for same in np.split(wide, np.flatnonzero(np.diff(lengths[wide])) + 1):
             width = int(lengths[same[0]])
-            rows = sliding_window_view(codes, width)[starts[same]]
-            if width * codes.itemsize <= 8:
-                keys = np.zeros((len(same), 8 // codes.itemsize), dtype=codes.dtype)
-                keys[:, :width] = rows
-                keys = keys.view(np.uint64).ravel()
+            if width <= 8:
+                keys = _words(codes, starts[same]) & np.uint64((1 << 8 * width) - 1)
             else:
-                keys = rows.view(f"S{width * codes.itemsize}").ravel()
+                keys = sliding_window_view(codes, width)[starts[same]].view(f"S{width}").ravel()
             perm = np.argsort(keys)
             same = same[perm]
             new = _run_starts(keys[perm])
@@ -257,22 +265,13 @@ def _intern(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple
     return np.take(np.take(rank, firsts), group), np.flatnonzero(is_first)
 
 
-def _edge_tokens(codes: np.ndarray, breaks: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _edge_tokens(codes: np.ndarray, ascii: bool, breaks: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Start and length of the first two tokens of every line that is
     neither blank nor a comment, in text order.  breaks holds the line
     break positions, or None to find them as str.splitlines() would."""
-    at, chars, is_break = _whitespace(codes)
-    if breaks is None:
-        # "\r\n" is one break, at the "\r"
-        cr = np.flatnonzero(chars[:-1] == 13)
-        lf = cr + 1
-        is_break[lf[(chars[lf] == 10) & (at[lf] == at[cr] + 1)]] = False
-    else:
-        is_break[:] = False
-        is_break[np.searchsorted(at, breaks)] = True
-    del chars
+    at, is_break = _whitespace(codes, ascii, breaks)
     # wide enough for the tokens' byte offsets too
-    index = _index_dtype(codes.nbytes + 1)
+    index = _index_dtype(len(codes) + 1)
     # -1 and len(codes) stand for the blanks around the text; a token
     # fills each gap between consecutive blanks
     edge = np.empty(len(at) + 2, dtype=index)
@@ -318,10 +317,7 @@ def _labels(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[
     out = np.take(codes, shift, mode="clip")
     del shift
     out[seps] = ord(" ")
-    data = out[:-1].tobytes()
-    if codes.dtype == np.uint8:
-        return data.decode("ascii").split(" ")
-    return data.decode("utf-32-le", "surrogatepass").split(" ")
+    return out[:-1].tobytes().decode("utf-8", "surrogatepass").split(" ")
 
 
 def parse_edge_list(text: str | Iterable[str]) -> Graph:
@@ -335,23 +331,21 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
 
     Tokens split as str.split() does.  A string breaks into lines as
     str.splitlines() does; a sequence of strings is one line per element.
-    The text is scanned as one array of code points, one byte each when
-    it is ASCII, for its whitespace only; tokens are the gaps between
-    whitespace positions and are interned by one sort of packed keys.
+    One leading U+FEFF, a byte-order mark, is dropped.  Tokens are the gaps
+    between the whitespace of the text's UTF-8 bytes.
     """
+    parts = [line.encode("utf-8", "surrogatepass") for line in ([text] if isinstance(text, str) else text)]
+    if parts:
+        parts[0] = parts[0].removeprefix("\ufeff".encode())
+    data = b"\n".join(parts)
     breaks = None
     if not isinstance(text, str):
-        lines = list(text)
-        text = "\n".join(lines)
         # only the joining newlines break lines; a newline inside an
         # element is plain whitespace
-        lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
-        breaks = np.cumsum(lengths[:-1] + 1) - 1
-    if text.isascii():
-        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    else:
-        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    starts, lengths = _edge_tokens(codes, breaks)
+        breaks = np.cumsum([len(part) + 1 for part in parts[:-1]], dtype=np.int64) - 1
+    del parts
+    codes = np.frombuffer(data, dtype=np.uint8)
+    starts, lengths = _edge_tokens(codes, data.isascii(), breaks)
     if not len(starts):
         raise ParseError("no edges in input")
     ids, first = _intern(codes, starts, lengths)
@@ -360,7 +354,7 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
         raise ParseError("no edges in input")
     labels = _labels(codes, starts[first], lengths[first])
     # the text's arrays go before the build allocates its own
-    del codes, starts, lengths, first
+    del data, codes, starts, lengths, first
     return Graph.from_edges(pairs, n=len(labels), labels=labels)
 
 

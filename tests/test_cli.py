@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import netdismantle
 from netdismantle.cli import WORKERS_ENV, main
 
 from conftest import DATA_DIR
@@ -73,6 +78,13 @@ class TestDismantleCommand:
         assert set(report["cost_summary"]) == {"min", "median", "max"}
         costs = [m["reported_cost"] for m in report["members"]]
         assert report["cost_summary"]["min"] == min(costs)
+
+    def test_byte_order_mark_leaves_solution_bytes(self, ring_graph, tmp_path):
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + ring_graph.read_bytes())
+        for name, path in (("plain", ring_graph), ("bom", bom)):
+            assert run(["dismantle", "--input", path, "--target-size", "2", "--seed", "7", "--out", tmp_path / name]) == 0
+        assert (tmp_path / "bom" / "solution.json").read_bytes() == (tmp_path / "plain" / "solution.json").read_bytes()
 
     def test_solution_bytes_stable_across_reruns(self, ring_graph, tmp_path):
         out_a = tmp_path / "a"
@@ -442,6 +454,25 @@ class TestStatsCommand:
         assert run(["stats", "--input", path_graph]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats == {"n": 3, "m": 2, "degree_min": 1, "degree_max": 2}
+
+    def test_byte_order_mark_is_not_a_node(self, tmp_path, capsys):
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf1 2\n1 3\n2 3\n3 4\n")
+        assert run(["stats", "--input", bom]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 4
+
+    def test_input_decodes_as_utf8_whatever_the_locale(self, tmp_path):
+        f = tmp_path / "accents.txt"
+        f.write_bytes("é ü\nü 𝔘\n".encode())
+        src = str(Path(netdismantle.__file__).resolve().parents[1])
+        # the C locale without UTF-8 mode: the locale's encoding is ASCII
+        env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        code = "import sys; from netdismantle.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "stats", "--input", str(f)], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["n"] == 3
 
     def test_writes_file_when_out_given(self, path_graph, tmp_path):
         out = tmp_path / "out"

@@ -68,6 +68,13 @@ class TestTarget:
         assert DismantlingTarget.from_fraction(2000, 0.01).c == 20
         assert DismantlingTarget.from_fraction(10, 1.0).c == 10
 
+    def test_fraction_of_a_float_product_that_rounds_up(self):
+        # 0.07 * 100 is 7.000000000000001 in floats; the target is 7
+        assert DismantlingTarget.from_fraction(100, 0.07).c == 7
+        for k in range(1, 100):
+            for n in (100, 200, 300, 1_000, 3_700, 20_000):
+                assert DismantlingTarget.from_fraction(n, k / 100).c == max(1, -(-k * n // 100)), (k, n)
+
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
             DismantlingTarget.from_fraction(10, 0.0)

@@ -1,5 +1,6 @@
 """Parsing, component decomposition, and mask bookkeeping."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -59,6 +60,15 @@ class TestParsing:
             parse_edge_list("% only comments\n")
         with pytest.raises(ParseError):
             parse_edge_list("a a\n")
+
+    def test_byte_order_mark_dropped(self):
+        text = "1 2\n1 3\n2 3\n"
+        assert_same_graph(parse_edge_list("\ufeff" + text), parse_edge_list(text))
+        lines = text.splitlines(keepends=True)
+        assert_same_graph(parse_edge_list(["\ufeff" + lines[0], *lines[1:]]), parse_edge_list(lines))
+        # only one, and only at the start
+        assert parse_edge_list("\ufeff\ufeff1 2\n").labels == ("\ufeff1", "2")
+        assert parse_edge_list(["1 2\n", "\ufeff1 3\n"]).labels == ("1", "2", "\ufeff1", "3")
 
     def test_edges_lexicographically_sorted_and_canonical(self):
         g = parse_edge_list("5 1\n3 2\n5 2\n")
@@ -219,6 +229,28 @@ class TestParserReference:
         assert_same_outcome(lines)
         assert_same_outcome(lines, feed=iter)
 
+    def test_every_whitespace_character_between_multibyte_labels(self):
+        spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+        breaks = [c for c in spaces if len(f"x{c}x".splitlines()) == 2] + ["\r\n"]
+        blanks = [c for c in spaces if c not in breaks]
+        # 2-, 3- and 4-byte labels; "Š", "ą", "…" and U+2027, U+202A,
+        # U+1681, U+3001 share bytes with multi-byte whitespace; a lone
+        # surrogate encodes to a lead byte no whitespace starts with
+        labels = ["é", "Š", "ą", "€", "…", "a…", "ąŠ1", "\u2027", "\u202a", "\u1681", "\u3001", "𝔘", "\ud800"]
+        lines = [
+            blanks[i % len(blanks)].join(["", labels[i % len(labels)], labels[i // 2 % len(labels)], "x", ""])
+            + breaks[i % len(breaks)]
+            for i in range(3 * len(spaces))
+        ]
+        text = "".join(lines)
+        graph = parse_edge_list(text)
+        assert set(labels) <= set(graph.labels)
+        assert_same_graph(graph, reference_parse(text))
+        assert_same_graph(parse_edge_list(lines), reference_parse(lines))
+        # inside a list element a break is plain whitespace
+        lines = [f"{labels[i % len(labels)]}{brk}{labels[(i + 1) % len(labels)]}" for i, brk in enumerate(breaks)]
+        assert_same_graph(parse_edge_list(lines), reference_parse(lines))
+
     def test_nul_suffix_tokens_stay_apart(self):
         g = parse_edge_list("a a\x00\na\x00\x00 a\n")
         assert g.labels == ("a", "a\x00", "a\x00\x00")
@@ -238,7 +270,7 @@ class TestParserReference:
     def test_packed_and_wide_tokens_past_two_to_the_seventeen(self, extra):
         # 2^17 < tokens <= 2^18 leaves 64 - 3 - 18 bits for a token's
         # bytes: 5-byte ids pack into one key, 6- to 9-byte ids do not;
-        # with non-ASCII tokens every code point takes 4 bytes
+        # a non-ASCII code point takes 2 to 4 of them
         pool = [f"{i:05d}" for i in range(40_000)] + [f"{i:0{6 + i % 4}d}" for i in range(5_000)]
         pairs = np.random.default_rng(17).integers(0, len(pool), size=(70_000, 2)).tolist()
         lines = ["% header\r\n"]
@@ -299,6 +331,19 @@ def test_parse_peak_memory_no_larger_than_reference():
     pairs = np.random.default_rng(5).integers(0, 20_000, size=(100_000, 2))
     text = "% drawn\n" + "".join(f"{u} {v}\n" for u, v in pairs.tolist())
     assert _traced_peak(parse_edge_list, text) <= _traced_peak(reference_parse, text)
+
+
+def test_parse_peak_memory_of_non_ascii_labels():
+    # 50k edges whose labels start with a 2-, 3- or 4-byte character,
+    # against ASCII labels of the same byte widths
+    pairs = np.random.default_rng(3).integers(0, 20_000, size=(50_000, 2)).tolist()
+
+    def text(heads):
+        return "".join(f"{heads[u % 3]}{u} {heads[v % 3]}{v}\n" for u, v in pairs)
+
+    wide, narrow = text(["é", "€", "𝔘"]), text(["ee", "eee", "eeee"])
+    assert len(wide.encode()) == len(narrow)
+    assert _traced_peak(parse_edge_list, wide) <= 1.15 * _traced_peak(parse_edge_list, narrow)
 
 
 # the tracemalloc peak per character of the text below that the parser

@@ -1,8 +1,9 @@
 """Smoke runs of the experiment scripts under scripts/, each in its own
 interpreter, as a user would start them, and unit checks of the
-verdicts scripts/bench_pairs.py prints."""
+verdicts scripts/bench_pairs.py prints and the file it writes."""
 
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -87,3 +88,24 @@ class TestBenchPairsVerdicts:
         # higher is better: a rise from zero is no regression
         gained = bench_pairs.regression_verdict(zeros, [1.0, 1.0, 1.0], 1.0, 0.1)
         assert (gained["verdict"], gained["worse_by"]) == ("within bound", -math.inf)
+
+
+def test_bench_pairs_records_the_src_lines_of_both_checkouts(bench_pairs, tmp_path, monkeypatch, capsys):
+    for side, lines in (("parent", 3), ("change", 5)):
+        checkout = tmp_path / side
+        (checkout / "src" / "pkg").mkdir(parents=True)
+        (checkout / "src" / "pkg" / "mod.py").write_text("x = 1\n" * lines)
+        (checkout / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+        (checkout / "record.json").write_text(json.dumps({"environment": {}}))
+
+    def run_side(checkout, workload, seed, seconds, trace):
+        outputs = [{"solution_json_sha256": "0" * 64, "trajectory_csv_sha256": "1" * 64}]
+        return {"outputs": outputs, "record": "record.json"}, {"failed": 0, "metrics": {"setup_s": {"value": 1.0}}}
+
+    # the runs are stubbed: nothing is started
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    argv = ["--parent", tmp_path / "parent", "--change", tmp_path / "change", "--workload", "w", "--seeds", "1-2"]
+    assert bench_pairs.main([str(a) for a in argv]) == 0
+    bench = json.loads((tmp_path / "change" / "BENCH_w.json").read_text())
+    assert bench["src_lines"] == {"parent": 3, "change": 5}
+    assert "src/ lines: parent 3, change 5" in capsys.readouterr().out
