@@ -40,13 +40,11 @@ from .errors import (
 from .graph import ComponentDecomposition, Graph, Subgraph, components, full_mask, parse_edge_list
 from .spectral import (
     Partition,
-    SpectralVector,
     WeightedLaplacianOperator,
     approx_fiedler,
     build_operator,
     fine_tune_partition,
     iteration_budget,
-    partition_debug_csv,
     sign_partition,
 )
 from .cover import CoverResult, cut_edges, prune_redundant, weighted_vertex_cover
@@ -83,13 +81,11 @@ __all__ = [
     "full_mask",
     "parse_edge_list",
     "Partition",
-    "SpectralVector",
     "WeightedLaplacianOperator",
     "approx_fiedler",
     "build_operator",
     "fine_tune_partition",
     "iteration_budget",
-    "partition_debug_csv",
     "sign_partition",
     "CoverResult",
     "cut_edges",

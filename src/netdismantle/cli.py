@@ -18,13 +18,13 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
 from .costs import CostMode, CostVector
-from .dismantle import DismantlingTarget, cost_of, dismantle, reinsert
-from .ensemble import EnsembleConfig, run_ensemble, run_variability
+from .dismantle import DismantlingTarget
+from .ensemble import EnsembleConfig, _run_member, run_ensemble, run_variability
 from .errors import InternalInvariantError, InvalidCostError, ParseError
 from .graph import Graph, parse_edge_list
 from .serialize import format_float, report_to_dict, solution_json, to_json, trajectory_csv
@@ -34,6 +34,12 @@ WORKERS_ENV = "DISMANTLE_WORKERS"
 
 class _UsageError(Exception):
     """Bad flag combination or config value; maps to exit code 2."""
+
+
+# the type of each setting that is not an int, and how to name a type;
+# a bool is never taken for a number
+_KINDS = {"input": str, "cost": str, "out": str, "target_fraction": (int, float), "reinsert": bool, "fine_tune": bool}
+_KIND_NAMES = {str: "a string", int: "an integer", (int, float): "a number", bool: "true or false"}
 
 
 @dataclass
@@ -51,6 +57,12 @@ class RunSettings:
     out: str = "dismantle-out"
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), _KINDS.get(f.name, int)
+            if value is None and f.default is None:
+                continue
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+                raise _UsageError(f"setting {f.name!r} must be {_KIND_NAMES[kind]}")
         if self.cost not in ("unit", "degree"):
             raise _UsageError(f"unknown cost mode {self.cost!r}")
         if self.target_fraction is not None and self.target_size is not None:
@@ -67,6 +79,10 @@ class RunSettings:
             raise _UsageError("--iter-multiplier must be at least 1")
         if self.workers < 1:
             raise _UsageError("--workers must be at least 1")
+
+    def ensemble_config(self, k: int) -> EnsembleConfig:
+        return EnsembleConfig(k=k, base_seed=self.seed, iter_multiplier=self.iter_multiplier,
+                              reinsertion=self.reinsert, fine_tuning=self.fine_tune, workers=self.workers)
 
     def target_for(self, graph: Graph) -> DismantlingTarget:
         if self.target_size is not None:
@@ -97,8 +113,6 @@ def _resolve_settings(args: argparse.Namespace, unused: tuple[str, ...] = ()) ->
     defaults.  Booleans arrive as on/off strings from the flags.  A
     setting named in unused, which the command has no use for, is a usage
     error whether a flag or the config file gives it."""
-    from dataclasses import fields
-
     config: dict = {}
     if getattr(args, "config", None):
         try:
@@ -129,13 +143,7 @@ def _resolve_settings(args: argparse.Namespace, unused: tuple[str, ...] = ()) ->
                 raise _UsageError(f"{WORKERS_ENV} must be an integer") from exc
     if not merged.get("input"):
         raise _UsageError("--input is required")
-    for key in ("reinsert", "fine_tune"):
-        if key in merged and not isinstance(merged[key], bool):
-            raise _UsageError(f"config key {key!r} must be true or false")
-    try:
-        return RunSettings(**merged)
-    except TypeError as exc:
-        raise _UsageError(str(exc)) from exc
+    return RunSettings(**merged)
 
 
 def _load_graph(path: str) -> Graph:
@@ -175,15 +183,7 @@ def cmd_dismantle(args: argparse.Namespace) -> int:
     costs = CostVector.for_mode(graph, settings.cost)
     target = settings.target_for(graph)
     out_dir = Path(settings.out)
-    config = EnsembleConfig(
-        k=settings.ensemble,
-        base_seed=settings.seed,
-        iter_multiplier=settings.iter_multiplier,
-        reinsertion=settings.reinsert,
-        fine_tuning=settings.fine_tune,
-        workers=settings.workers,
-    )
-    report = run_ensemble(graph, costs, target, config)
+    report = run_ensemble(graph, costs, target, settings.ensemble_config(settings.ensemble))
     best = report.best.solution
     best_cost = report.best.reported_cost
     results = {
@@ -225,13 +225,7 @@ def cmd_variability(args: argparse.Namespace) -> int:
     costs = CostVector.for_mode(graph, settings.cost)
     target = settings.target_for(graph)
     out_dir = Path(settings.out)
-    config = EnsembleConfig(
-        k=members,
-        base_seed=settings.seed,
-        reinsertion=settings.reinsert,
-        fine_tuning=settings.fine_tune,
-        workers=settings.workers,
-    )
+    config = settings.ensemble_config(members)
 
     def write_seed(runs, trajectories, histograms):
         for member, trajectory in zip(runs, trajectories):
@@ -281,18 +275,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     parse_seconds = time.perf_counter() - started
     costs = CostVector.for_mode(graph, settings.cost)
     target = settings.target_for(graph)
-    started = time.perf_counter()
-    solution = dismantle(
-        graph,
-        costs,
-        target,
-        seed=settings.seed,
-        iter_multiplier=settings.iter_multiplier,
-        fine_tuning=settings.fine_tune,
-    )
-    if settings.reinsert:
-        solution = reinsert(graph, costs, target, solution)
-    elapsed = time.perf_counter() - started
+    member = _run_member(graph, costs, target, settings.ensemble_config(1), 0, settings.iter_multiplier)
+    solution = member.solution
     bench = {
         "graph": graph.stats(),
         "target_c": target.c,
@@ -301,9 +285,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "bisections": solution.metadata.bisections,
         "power_iterations": solution.metadata.power_iterations,
         "removed_count": solution.removed_count,
-        "reported_cost": cost_of(solution, costs, graph),
+        "reported_cost": member.reported_cost,
         "parse_seconds": parse_seconds,
-        "total_seconds": elapsed,
+        "total_seconds": member.seconds,
         "phase_seconds": solution.metadata.phase_seconds,
     }
     out_dir = Path(settings.out)

@@ -146,10 +146,6 @@ class DismantlingSolution:
         after = self._replayed_gcc_after()
         return int(after[-1]) if len(after) else self.metadata.initial_gcc
 
-    def _deletion_order(self) -> np.ndarray:
-        """Removed node ids in deletion order, without forcing the replay."""
-        return self._order
-
     def __getstate__(self) -> dict:
         # the replay drops the graph, so none travels back from a pool worker
         self._replayed_gcc_after()
@@ -326,7 +322,7 @@ def dismantle(
             iterations = iteration_budget(view.size, iter_multiplier)
             vector = approx_fiedler(operator, mix_seed(seed, metadata.bisections), iterations)
             metadata.power_iterations += iterations
-            partition = sign_partition(vector)
+            partition = sign_partition(vector, view.nodes)
             del operator, vector  # the largest arrays of a bisection, not needed by the cover
             t2 = time.perf_counter()
             phase["power_iteration"] += t2 - t1
@@ -376,7 +372,7 @@ def reinsert(
     so it is handed over rather than rebuilt.
     """
     t0 = time.perf_counter()
-    order = solution._deletion_order()
+    order = solution._order
     removed = np.sort(order)
     base = full_mask(graph.n)
     base[removed] = False

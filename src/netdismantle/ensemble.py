@@ -148,8 +148,10 @@ def _run_member(
 
 def _pool_size(workers: int, tasks: int) -> int:
     """Processes worth starting: no more than the tasks, nor than the CPUs
-    this process may run on, since results do not depend on the count."""
-    return min(workers, tasks, len(os.sched_getaffinity(0)))
+    this process may run on (all of them where the platform cannot say),
+    since results do not depend on the count."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(workers, tasks, cpus)
 
 
 def _members(

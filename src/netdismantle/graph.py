@@ -39,19 +39,6 @@ class Graph:
     indices: np.ndarray
     labels: tuple[str, ...]
 
-    @cached_property
-    def id_map(self) -> dict[str, int]:
-        """Node id of every label, built on first read."""
-        return dict(zip(self.labels, range(self.n)))
-
-    @cached_property
-    def edges(self) -> np.ndarray:
-        """Each undirected edge once as int64 (u, v) with u < v, sorted
-        lexicographically; derived from the CSR on first read."""
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
-        upper = rows < self.indices
-        return np.stack([rows[upper], self.indices[upper].astype(np.int64)], axis=1)
-
     @property
     def m(self) -> int:
         return len(self.indices) // 2
@@ -159,11 +146,11 @@ def _whitespace(codes: np.ndarray, ascii: bool, breaks: np.ndarray | None) -> tu
     break positions, or, for None, where str.splitlines() breaks."""
     near, wide = codes <= 32, []
     if not ascii:
-        # multi-byte characters lead with 0xC2 up; where a whole sequence
-        # is whitespace, each of its bytes is
-        lead = np.flatnonzero(codes >= 0xC2)
+        # multi-byte whitespace leads with 0xC2 or 0xE1 to 0xE3, the bytes
+        # _SPAN gives a width above 1; where a whole sequence is
+        # whitespace, each of its bytes is
+        lead = np.flatnonzero((codes == 0xC2) | (codes - np.uint8(0xE1) <= 2))
         width = np.take(_SPAN, np.take(codes, lead))
-        lead, width = lead[width > 1], width[width > 1]
         keys = _words(codes, lead) & np.take(_LOW_BYTES, width)
         hit = np.isin(keys, _SPACE_KEYS, kind="sort")
         for offset in range(_SPAN.max()):

@@ -103,19 +103,10 @@ def _summary(solution: DismantlingSolution, reported_cost: float | int) -> dict:
     }
 
 
-def solution_to_dict(solution: DismantlingSolution, reported_cost: float | int) -> dict:
-    return {
-        **_summary(solution, reported_cost),
-        "removal_order": [
-            {"node": node, "cost": cost, "gcc_after": gcc}
-            for node, cost, gcc in solution.removal_order
-        ],
-    }
-
-
 def solution_json(solution: DismantlingSolution, reported_cost: float | int) -> str:
-    """to_json(solution_to_dict(...)), with the removal_order rows, which
-    are nearly all of the file, written from one template per row."""
+    """The solution as JSON: its summary, then the removal_order rows,
+    which are nearly all of the file, written from one template per row
+    as to_json would lay them out."""
     rows = ",\n".join(
         f'    {{\n      "node": {node},\n      "cost": {format_float(cost)},\n'
         f'      "gcc_after": {gcc}\n    }}'

@@ -32,7 +32,7 @@ from scipy.sparse._sparsetools import csr_matvec
 
 from .costs import CostVector
 from .errors import ComponentTooSmallError, DegenerateSpectrumError, InvalidCostError
-from .graph import Subgraph
+from .graph import Subgraph, _index_dtype
 from .rng import initial_vector, retry_seed
 
 # norms below this are treated as a collapse to zero
@@ -58,20 +58,16 @@ class WeightedLaplacianOperator:
     """Matrix-free cI - L over one component, in local coordinates.
 
     nodes holds the sorted global ids; position i of any vector refers to
-    nodes[i].  Applying it, scale * x + b x, costs one sparse matvec,
-    O(edges in component).  step holds the CSR (indptr, indices, data) of
-    b + diag(scale), which applies the whole operator in one matvec: each
-    row holds b's entries in b's order, then its diagonal.  Its rows are
-    in local order when order is None; otherwise they are stably sorted by
+    nodes[i].  step holds the CSR (indptr, indices, data) of B +
+    diag(scale), with scale = c - weighted degree, which applies the whole
+    operator in one matvec, O(edges in component): each row holds B's
+    entries in the subgraph's order, then its diagonal.  Its rows are in
+    local order when order is None; otherwise they are stably sorted by
     length, columns still in local ids, and local row i is step row
     order[i].
     """
 
     nodes: np.ndarray
-    b: sp.csr_matrix
-    weighted_degree: np.ndarray
-    shift: float
-    scale: np.ndarray  # shift - weighted_degree, precomputed
     step: tuple[np.ndarray, np.ndarray, np.ndarray]
     order: np.ndarray | None  # step row of each local row; None when they agree
 
@@ -79,8 +75,26 @@ class WeightedLaplacianOperator:
     def size(self) -> int:
         return len(self.nodes)
 
-    def laplacian_matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.weighted_degree * x - self.b.dot(x)
+    @property
+    def b(self) -> sp.csr_matrix:
+        """B, rebuilt from step on every read: each local row's step row
+        without its diagonal slot.  The power step never reads it."""
+        indptr, indices, data = self.step
+        rows = np.arange(self.size) if self.order is None else self.order
+        b_indptr, src = _gather_rows(indptr, rows, np.diff(indptr)[rows] - 1, indptr.dtype)
+        return sp.csr_matrix((data[src], indices[src], b_indptr), shape=(self.size, self.size))
+
+
+def _gather_rows(indptr: np.ndarray, rows: np.ndarray, lengths: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The indptr, of the given dtype, of a CSR whose row j takes
+    lengths[j] entries from row rows[j] of the CSR with the given indptr,
+    and the source position of each of its entries; a row may read past
+    its source row's end."""
+    out = np.zeros(len(rows) + 1, dtype=dtype)
+    np.cumsum(lengths, out=out[1:])
+    src = np.repeat(indptr[rows] - out[:-1], lengths)
+    src += np.arange(len(src), dtype=src.dtype)
+    return out, src
 
 
 def build_operator(view: Subgraph, costs: CostVector) -> WeightedLaplacianOperator:
@@ -94,27 +108,32 @@ def build_operator(view: Subgraph, costs: CostVector) -> WeightedLaplacianOperat
         raise InvalidCostError("negative cost inside component")
     if not (w > 0).any():
         raise InvalidCostError("component has all-zero costs, edge weights vanish")
-    b = sp.csr_matrix((w[view.rows] + w[view.indices], view.indices, view.indptr), shape=(k, k))
-    weighted_degree = np.asarray(b.sum(axis=1)).ravel()
-    shift = 2.0 * float(weighted_degree.max())
-    scale = shift - weighted_degree
-    lengths = np.diff(b.indptr) + 1
+    b = w[view.rows] + w[view.indices]  # B's entries, in the subgraph's CSR order
+    lengths = np.diff(view.indptr)
+    # each nonempty row summed as scipy's csr_matrix.sum(axis=1) sums it
+    weighted_degree = np.zeros(k)
+    nonempty = np.flatnonzero(lengths)
+    weighted_degree[nonempty] = np.add.reduceat(b, view.indptr[nonempty])
+    scale = 2.0 * float(weighted_degree.max()) - weighted_degree
+    del weighted_degree, nonempty
+    lengths += 1
     rows, order = np.arange(k), None
     if np.count_nonzero(lengths[1:] != lengths[:-1]) >= _SORT_ROWS_MIN_CHANGES:
         rows = np.argsort(lengths, kind="stable")
         order = np.empty(k, dtype=np.int64)
         order[rows] = np.arange(k)
-    # step row j is local row rows[j]: its entries of b in order, then
+    # step row j is local row rows[j]: its entries of B in order, then
     # scale; a diagonal slot first gathers the entry after its row (clipped
-    # at the end), then is overwritten
-    indptr = np.zeros(k + 1, dtype=b.indptr.dtype)
-    np.cumsum(lengths[rows], out=indptr[1:])
-    src = np.repeat(b.indptr[rows] - indptr[:-1], lengths[rows])
-    src += np.arange(len(src), dtype=src.dtype)
+    # at the end), then is overwritten.  Indices as scipy would store them
+    index = _index_dtype(len(b) + k)
+    indptr, src = _gather_rows(view.indptr, rows, lengths[rows], index)
+    data = b.take(src, mode="clip")
+    del b
+    indices = view.indices.take(src, mode="clip").astype(index, copy=False)
+    del src
     diagonal = indptr[1:] - 1
-    indices, data = b.indices.take(src, mode="clip"), b.data.take(src, mode="clip")
     indices[diagonal], data[diagonal] = rows, scale[rows]
-    return WeightedLaplacianOperator(nodes, b, weighted_degree, shift, scale, (indptr, indices, data), order)
+    return WeightedLaplacianOperator(nodes, (indptr, indices, data), order)
 
 
 def iteration_budget(n: int, multiplier: int = 1) -> int:
@@ -130,16 +149,6 @@ def iteration_budget(n: int, multiplier: int = 1) -> int:
     ln = math.log(n)
     base = math.ceil(30.0 * ln * math.sqrt(ln))
     return max(1, multiplier * base)
-
-
-@dataclass(frozen=True)
-class SpectralVector:
-    """Approximate second eigenvector, unit norm and zero mean."""
-
-    values: np.ndarray
-    nodes: np.ndarray
-    seed: int
-    iterations: int
 
 
 def _sumsq(x: np.ndarray) -> float:
@@ -178,8 +187,9 @@ def _power_iterate(op: WeightedLaplacianOperator, x0: np.ndarray, iterations: in
     return x / norm
 
 
-def approx_fiedler(op: WeightedLaplacianOperator, seed: int, iterations: int) -> SpectralVector:
-    """Power iteration with mean deflation from a seeded start vector.
+def approx_fiedler(op: WeightedLaplacianOperator, seed: int, iterations: int) -> np.ndarray:
+    """Power iteration with mean deflation from a seeded start vector:
+    the approximate second eigenvector, unit norm and zero mean.
 
     If the iterate collapses below machine range the run is retried once
     from a reseeded start; a second collapse means the shifted operator
@@ -187,19 +197,16 @@ def approx_fiedler(op: WeightedLaplacianOperator, seed: int, iterations: int) ->
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    x0 = initial_vector(seed, op.size)
     try:
-        values = _power_iterate(op, x0, iterations)
+        return _power_iterate(op, initial_vector(seed, op.size), iterations)
     except _UnderflowCollapse:
-        x1 = initial_vector(retry_seed(seed), op.size)
         try:
-            values = _power_iterate(op, x1, iterations)
+            return _power_iterate(op, initial_vector(retry_seed(seed), op.size), iterations)
         except _UnderflowCollapse:
             raise DegenerateSpectrumError(
                 f"degenerate spectrum: power iteration collapsed twice on a "
                 f"{op.size}-node component"
             ) from None
-    return SpectralVector(values=values, nodes=op.nodes, seed=seed, iterations=iterations)
 
 
 @dataclass(frozen=True)
@@ -218,28 +225,22 @@ class Partition:
     def size_mbar(self) -> int:
         return len(self.nodes) - self.size_m
 
-    def group_m(self) -> np.ndarray:
-        return self.nodes[self.in_m]
 
-    def group_mbar(self) -> np.ndarray:
-        return self.nodes[~self.in_m]
-
-
-def sign_partition(vec: SpectralVector) -> Partition:
-    """Split by eigenvector sign, with fallbacks that keep both sides
-    nonempty: negative entries form M; if that is trivial, entries below
-    the median form M; if still trivial, M is just the first node."""
-    values = vec.values
+def sign_partition(values: np.ndarray, nodes: np.ndarray) -> Partition:
+    """Split nodes by the sign of their eigenvector values, with fallbacks
+    that keep both sides nonempty: negative entries form M; if that is
+    trivial, entries below the median form M; if still trivial, M is just
+    the first node."""
     in_m = values < 0.0
     if in_m.any() and not in_m.all():
-        return Partition(nodes=vec.nodes, in_m=in_m)
+        return Partition(nodes=nodes, in_m=in_m)
     median = float(np.median(values))
     in_m = values < median
     if in_m.any() and not in_m.all():
-        return Partition(nodes=vec.nodes, in_m=in_m)
+        return Partition(nodes=nodes, in_m=in_m)
     in_m = np.zeros(len(values), dtype=bool)
     in_m[0] = True
-    return Partition(nodes=vec.nodes, in_m=in_m)
+    return Partition(nodes=nodes, in_m=in_m)
 
 
 def fine_tune_partition(
@@ -290,13 +291,3 @@ def fine_tune_partition(
         pending = still_pending
     return Partition(nodes=partition.nodes, in_m=labels == 1)
 
-
-def partition_debug_csv(vec: SpectralVector, partition: Partition) -> str:
-    """CSV dump of one bisection: node_id,group,eigenvector_value."""
-    if not np.array_equal(vec.nodes, partition.nodes):
-        raise ValueError("vector and partition cover different nodes")
-    lines = ["node_id,group,eigenvector_value"]
-    for node, flag, value in zip(partition.nodes, partition.in_m, vec.values):
-        group = "M" if flag else "Mbar"
-        lines.append(f"{int(node)},{group},{format(float(value), '.17g')}")
-    return "\n".join(lines) + "\n"

@@ -113,7 +113,7 @@ def fiedler_test_instances(count: int, start_seed: int = 0, max_n: int = 100):
     import math
 
     from netdismantle import CostVector, build_operator, full_mask, iteration_budget
-    from oracles import jacobi_eigh, subgraph
+    from oracles import edges, jacobi_eigh, laplacian_parts, subgraph
 
     found = []
     seed = start_seed
@@ -122,7 +122,7 @@ def fiedler_test_instances(count: int, start_seed: int = 0, max_n: int = 100):
         graph = random_connected_graph(seed, n)
         costs = CostVector.degree(graph)
         lap = np.zeros((n, n))
-        for u, v in graph.edges:
+        for u, v in edges(graph):
             b = float(costs.w[u] + costs.w[v])
             lap[u, v] -= b
             lap[v, u] -= b
@@ -131,8 +131,9 @@ def fiedler_test_instances(count: int, start_seed: int = 0, max_n: int = 100):
         lam, _ = jacobi_eigh(lap)
         op = build_operator(subgraph(graph, np.arange(n)), costs)
         budget = iteration_budget(n, 1)
-        num = float(op.shift - lam[1])
-        den = float(op.shift - lam[2])
+        shift = laplacian_parts(op)[1]
+        num = float(shift - lam[1])
+        den = float(shift - lam[2])
         # den == 0 means the third eigendirection is annihilated outright
         if den <= 0.0:
             eligible = num > 0.0

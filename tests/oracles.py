@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from netdismantle import ComponentDecomposition, CostVector, Graph, Subgraph, components
+from netdismantle import ComponentDecomposition, CostVector, Graph, Subgraph, WeightedLaplacianOperator, components
 from netdismantle.graph import NodeMask
 
 
@@ -195,7 +195,7 @@ def dense_fiedler(
         raise ValueError("component is not connected under the mask")
     local = {int(g): i for i, g in enumerate(component)}
     lap = np.zeros((k, k))
-    for u, v in graph.edges:
+    for u, v in edges(graph):
         u, v = int(u), int(v)
         if u in local and v in local:
             b = float(costs.w[u] + costs.w[v])
@@ -226,3 +226,24 @@ def members(decomposition: ComponentDecomposition, comp_id: int) -> np.ndarray:
 def gcc_size(graph: Graph, mask: NodeMask) -> int:
     """Size of the largest connected component of the masked graph."""
     return components(graph, mask).gcc_size
+
+
+def edges(graph: Graph) -> np.ndarray:
+    """Each undirected edge once as int64 (u, v) with u < v, sorted
+    lexicographically; derived from the CSR."""
+    rows = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(graph.indptr))
+    upper = rows < graph.indices
+    return np.stack([rows[upper], graph.indices[upper].astype(np.int64)], axis=1)
+
+
+def id_map(graph: Graph) -> dict[str, int]:
+    """The node id of every label."""
+    return dict(zip(graph.labels, range(graph.n)))
+
+
+def laplacian_parts(op: WeightedLaplacianOperator) -> tuple[np.ndarray, float, np.ndarray]:
+    """The weighted degree, the shift c and the diagonal scale c - degree
+    of an operator, derived from its B as scipy sums B's rows."""
+    weighted_degree = np.asarray(op.b.sum(axis=1)).ravel()
+    shift = 2.0 * float(weighted_degree.max())
+    return weighted_degree, shift, shift - weighted_degree

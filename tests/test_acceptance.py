@@ -161,7 +161,7 @@ def test_c03_spectral_fidelity():
         op = build_operator(subgraph(graph, np.arange(graph.n)), costs)
         vec = approx_fiedler(op, seed, budget)
         _, exact = dense_fiedler(graph, full_mask(graph.n), costs, np.arange(graph.n))
-        cosines.append(abs(float(vec.values @ exact)))
+        cosines.append(abs(float(vec @ exact)))
     ok = min(cosines) >= 0.99
     record_criterion(
         3,
@@ -309,7 +309,7 @@ def test_c07_fine_tuning_properties():
         comp = members(decomposition, decomposition.gcc_id)
         op = build_operator(subgraph(petster, comp), costs)
         vec = approx_fiedler(op, mix_seed(0, 0), iteration_budget(len(comp), 1))
-        part = sign_partition(vec)
+        part = sign_partition(vec, op.nodes)
         flips = []
         fine_tune_partition(subgraph(petster, comp), part, flip_log=flips)
         sub_ok = len(flips) > 0

@@ -177,7 +177,7 @@ class TestErrors:
         def broken(*args, **kwargs):
             raise ValueError("solver bug")
 
-        monkeypatch.setattr("netdismantle.cli.dismantle", broken)
+        monkeypatch.setattr("netdismantle.ensemble.dismantle", broken)
         assert run(["bench", "--input", path_graph, "--target-size", "1"]) == 3
         assert "solver bug" in capsys.readouterr().err
 
@@ -217,6 +217,41 @@ class TestErrors:
         cfg.write_text('{"reinsert": "yes"}')
         assert run(["dismantle", "--input", path_graph, "--config", cfg]) == 2
         assert "true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"ensemble": 2.5},
+            {"seed": "abc"},
+            {"iter_multiplier": 1.5},
+            {"target_size": 3.5},
+            {"workers": True},
+            {"seed": None},
+            {"target_fraction": "0.5"},
+            {"target_fraction": True},
+            {"out": 7},
+            {"cost": ["unit"]},
+            {"input": 1},
+            {"fine_tune": 1},
+        ],
+    )
+    def test_config_value_of_the_wrong_type(self, path_graph, tmp_path, capsys, monkeypatch, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": str(path_graph), "target_size": 1, **config}))
+        monkeypatch.chdir(tmp_path)
+        assert run(["dismantle", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        [key] = config
+        assert f"{key!r}" in err
+        assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "path.txt"]
+
+    def test_integral_target_fraction_is_a_number(self, ring_graph, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"target_fraction": 1}')
+        out = tmp_path / "out"
+        assert run(["dismantle", "--input", ring_graph, "--config", cfg, "--out", out]) == 0
+        assert json.loads((out / "manifest.json").read_text())["results"]["target_c"] == 12
 
 
 class TestConfigPrecedence:

@@ -41,10 +41,11 @@ from netdismantle.errors import (
 )
 from netdismantle.rng import initial_vector, mix_seed, retry_seed
 from netdismantle.serialize import solution_json, trajectory_csv
-from netdismantle.spectral import _UNDERFLOW, SpectralVector, _UnderflowCollapse
+from netdismantle.spectral import _UNDERFLOW, _UnderflowCollapse
 
 from conftest import BUNDLED, heavy_tailed_graph, load_bundled, random_connected_graph, random_graph
 from oracles import bfs_gcc_size, brute_force_min_dismantling, members, subgraph
+from oracles import edges as oracle_edges
 
 
 def unit(g):
@@ -385,7 +386,7 @@ def reference_reinsert(graph, costs, target, solution):
     reinsert_seconds = time.perf_counter() - t0
 
     order = np.array(
-        [v for v in solution._deletion_order() if v in still_removed], dtype=np.int64
+        [v for v in solution._order if v in still_removed], dtype=np.int64
     )
     metadata = replace(
         solution.metadata,
@@ -735,7 +736,7 @@ def reference_approx_fiedler(op, seed, iterations):
                 f"degenerate spectrum: power iteration collapsed twice on a "
                 f"{op.size}-node component"
             ) from None
-    return SpectralVector(values=values, nodes=op.nodes, seed=seed, iterations=iterations)
+    return values
 
 
 def reference_fine_tune_partition(graph, mask, component, partition, flip_log=None):
@@ -776,7 +777,7 @@ def reference_cut_edges(graph, mask, partition):
     active = np.asarray(mask, dtype=bool)
     labels = np.full(graph.n, -1, dtype=np.int8)
     labels[partition.nodes] = partition.in_m.astype(np.int8)
-    e = graph.edges
+    e = oracle_edges(graph)
     if not len(e):
         return e.reshape(0, 2)
     lu = labels[e[:, 0]]
@@ -846,7 +847,7 @@ def reference_dismantle(graph, costs, target, seed=0, iter_multiplier=1, fine_tu
             iterations = iteration_budget(len(comp), iter_multiplier)
             vector = reference_approx_fiedler(operator, mix_seed(seed, bisections), iterations)
             power_iterations += iterations
-            partition = sign_partition(vector)
+            partition = sign_partition(vector, operator.nodes)
             if fine_tuning:
                 partition = reference_fine_tune_partition(graph, mask, comp, partition)
         cut = reference_cut_edges(graph, mask, partition)
@@ -892,7 +893,7 @@ def component_mixes(draw):
         start += size
         if size > 1:
             local = random_connected_graph(int(rng.integers(1 << 30)), size, extra=0.2)
-            edges.append(block[local.edges])
+            edges.append(block[oracle_edges(local)])
     edges = np.concatenate(edges) if edges else np.empty((0, 2), dtype=np.int64)
     return Graph.from_edges(edges, n=len(ids)), seed
 

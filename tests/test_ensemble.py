@@ -147,6 +147,21 @@ class TestRunEnsemble:
         assert ensemble._pool_size(2, 1000) == 2
         assert ensemble._pool_size(500, 1) == 1
 
+    def test_pool_without_sched_getaffinity(self, monkeypatch):
+        # os.sched_getaffinity exists only on Linux; elsewhere the CPU
+        # count bounds the pool
+        monkeypatch.delattr(ensemble.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 3)
+        assert ensemble._pool_size(500, 1000) == 3
+        serial = run_ensemble(self.graph, self.costs, self.target, EnsembleConfig(k=2, base_seed=3))
+        pooled = run_ensemble(self.graph, self.costs, self.target, EnsembleConfig(k=2, base_seed=3, workers=2))
+        assert [m.solution.removal_order for m in pooled.members] == [
+            m.solution.removal_order for m in serial.members
+        ]
+        # cpu_count may not know either
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: None)
+        assert ensemble._pool_size(500, 1000) == 1
+
     def test_members_record_their_multiplier(self):
         config = EnsembleConfig(k=2, iter_multiplier=3)
         report = run_ensemble(self.graph, self.costs, self.target, config)

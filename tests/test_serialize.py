@@ -8,15 +8,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netdismantle import CostVector, DismantlingTarget, dismantle
-from netdismantle.serialize import (
-    format_float,
-    solution_json,
-    solution_to_dict,
-    to_json,
-    trajectory_csv,
-)
+from netdismantle.serialize import format_float, solution_json, to_json, trajectory_csv
 
 from conftest import random_connected_graph
+
+METADATA_FIELDS = (
+    "seed", "prng", "iter_multiplier", "fine_tuning", "reinserted",
+    "cost_mode", "target_c", "initial_gcc", "bisections", "power_iterations",
+)
+
+
+def solution_to_dict(solution, reported_cost):
+    """The document solution_json writes, built as plain data: the
+    reference for its templated rows."""
+    return {
+        "reported_cost": reported_cost,
+        "total_cost": solution.total_cost,
+        "removed_count": solution.removed_count,
+        "final_gcc": solution.final_gcc,
+        "metadata": {name: getattr(solution.metadata, name) for name in METADATA_FIELDS},
+        "removal_order": [
+            {"node": node, "cost": cost, "gcc_after": gcc} for node, cost, gcc in solution.removal_order
+        ],
+    }
 
 
 class TestFormatFloat:
@@ -85,7 +99,7 @@ class TestSolutionJson:
 
     def test_shape_and_fields(self):
         g, costs, sol = self.make()
-        d = solution_to_dict(sol, reported_cost=len(sol.removed))
+        d = json.loads(solution_json(sol, len(sol.removed)))
         assert d["removed_count"] == len(sol.removed)
         assert d["final_gcc"] == sol.final_gcc
         assert d["metadata"]["seed"] == 0

@@ -24,7 +24,6 @@ from netdismantle import (
     fine_tune_partition,
     full_mask,
     iteration_budget,
-    partition_debug_csv,
     sign_partition,
 )
 from netdismantle.errors import ComponentTooSmallError, DegenerateSpectrumError
@@ -33,14 +32,13 @@ from netdismantle.spectral import (
     _DOT_CHUNK,
     _SORT_ROWS_MIN_CHANGES,
     _UNDERFLOW,
-    SpectralVector,
     _power_iterate,
     _sumsq,
     _UnderflowCollapse,
 )
 
 from conftest import BUNDLED, fiedler_test_instances, heavy_tailed_graph, load_bundled, random_connected_graph
-from oracles import dense_fiedler, members, subgraph
+from oracles import dense_fiedler, edges, laplacian_parts, members, subgraph
 
 
 def unit(g):
@@ -51,9 +49,10 @@ class TestOperator:
     def test_single_edge_unit(self):
         g = Graph.from_edges([(0, 1)])
         op = build_operator(subgraph(g, np.array([0, 1])), unit(g))
+        weighted_degree, shift, _ = laplacian_parts(op)
         assert op.b[0, 1] == 2.0
-        assert op.weighted_degree.tolist() == [2.0, 2.0]
-        assert op.shift == 4.0
+        assert weighted_degree.tolist() == [2.0, 2.0]
+        assert shift == 4.0
 
     def test_path_costs_121(self):
         g = Graph.from_edges([(0, 1), (1, 2)])
@@ -61,8 +60,9 @@ class TestOperator:
         op = build_operator(subgraph(g, np.arange(3)), costs)
         assert op.b[0, 1] == 3.0
         assert op.b[1, 2] == 3.0
-        assert op.weighted_degree.tolist() == [3.0, 6.0, 3.0]
-        assert op.shift == 12.0
+        weighted_degree, shift, _ = laplacian_parts(op)
+        assert weighted_degree.tolist() == [3.0, 6.0, 3.0]
+        assert shift == 12.0
 
     def test_rejects_tiny_component(self):
         g = Graph.from_edges([(0, 1)])
@@ -75,11 +75,16 @@ class TestOperator:
             g = random_connected_graph(seed, int(rng.integers(3, 50)))
             costs = CostVector.degree(g)
             op = build_operator(subgraph(g, np.arange(g.n)), costs)
+            b, weighted_degree = op.b, laplacian_parts(op)[0]
+
+            def laplacian_matvec(x):
+                return weighted_degree * x - b.dot(x)
+
             ones = np.ones(op.size)
-            assert np.abs(op.laplacian_matvec(ones)).max() < 1e-9
+            assert np.abs(laplacian_matvec(ones)).max() < 1e-9
             for _ in range(5):
                 x = rng.normal(size=op.size)
-                assert x @ op.laplacian_matvec(x) >= -1e-9
+                assert x @ laplacian_matvec(x) >= -1e-9
 
     def test_local_ids_follow_sorted_globals(self):
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -109,22 +114,22 @@ class TestApproxFiedler:
             g = random_connected_graph(seed, 40)
             op = build_operator(subgraph(g, np.arange(g.n)), unit(g))
             v = approx_fiedler(op, seed, iteration_budget(g.n, 1))
-            assert abs(np.linalg.norm(v.values) - 1.0) < 1e-12
-            assert abs(v.values.mean()) < 1e-9 * np.sqrt(g.n)
+            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+            assert abs(v.mean()) < 1e-9 * np.sqrt(g.n)
 
     def test_deterministic_bitwise(self):
         g = random_connected_graph(3, 30)
         op = build_operator(subgraph(g, np.arange(g.n)), unit(g))
         a = approx_fiedler(op, 42, 100)
         b = approx_fiedler(op, 42, 100)
-        assert (a.values == b.values).all()
+        assert (a == b).all()
 
     def test_two_triangles_bridge_split(self):
         g = Graph.from_edges([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
         op = build_operator(subgraph(g, np.arange(6)), unit(g))
         for seed in range(5):
             v = approx_fiedler(op, seed, iteration_budget(6, 1))
-            signs = v.values < 0
+            signs = v < 0
             assert signs[:3].all() != signs[3:].all()
             assert signs[:3].all() or (~signs[:3]).all()
             assert signs[3:].all() or (~signs[3:]).all()
@@ -139,7 +144,7 @@ class TestApproxFiedler:
             op = build_operator(subgraph(g, np.arange(n)), costs)
             v = approx_fiedler(op, seed, budget)
             _, exact = dense_fiedler(g, full_mask(n), costs, np.arange(n))
-            cosine = abs(float(v.values @ exact))
+            cosine = abs(float(v @ exact))
             assert cosine >= 0.99, (seed, n, cosine)
 
     def test_two_node_component_degenerates(self):
@@ -164,7 +169,7 @@ class TestApproxFiedler:
             op = build_operator(subgraph(g, np.arange(g.n)), unit(g))
             v = approx_fiedler(op, seed, iteration_budget(g.n, 2))
             _, exact = dense_fiedler(g, full_mask(g.n), unit(g), np.arange(g.n))
-            agreement = np.sign(v.values) == np.sign(exact)
+            agreement = np.sign(v) == np.sign(exact)
             assert agreement.all() or (~agreement).all()
 
 
@@ -175,7 +180,7 @@ def reference_b(graph, costs, nodes):
     w = costs.w
     local = np.full(graph.n, -1, dtype=np.int64)
     local[nodes] = np.arange(k)
-    e = graph.edges
+    e = edges(graph)
     keep = (local[e[:, 0]] >= 0) & (local[e[:, 1]] >= 0)
     eu = local[e[keep, 0]]
     ev = local[e[keep, 1]]
@@ -192,12 +197,13 @@ def reference_b(graph, costs, nodes):
 def reference_power_iterate(op, x, iterations):
     """The power iteration on fresh temporaries and scipy's dot, kept as
     the reference for the buffered loop."""
+    b, scale = op.b, laplacian_parts(op)[2]
     for _ in range(iterations):
         x = x - x.mean()
         norm = float(np.linalg.norm(x))
         if norm < _UNDERFLOW:
             raise _UnderflowCollapse
-        x = op.scale * x + op.b.dot(x)
+        x = scale * x + b.dot(x)
         norm = float(np.linalg.norm(x))
         if norm < _UNDERFLOW:
             raise _UnderflowCollapse
@@ -221,12 +227,13 @@ def reference_chunked_power_iterate(op, x, iterations):
     """reference_power_iterate with reference_norm for components of more
     than one dot chunk, where a single dot differs in the last bits."""
     assert op.size > 10_000
+    b, scale = op.b, laplacian_parts(op)[2]
     for _ in range(iterations):
         x = x - x.mean()
         norm = reference_norm(x)
         if norm < _UNDERFLOW:
             raise _UnderflowCollapse
-        x = op.scale * x + op.b.dot(x)
+        x = scale * x + b.dot(x)
         norm = reference_norm(x)
         if norm < _UNDERFLOW:
             raise _UnderflowCollapse
@@ -256,6 +263,10 @@ def assert_hot_path_matches_reference(graph, costs, comp, seed):
     want = reference_b(graph, costs, op.nodes)
     for name in ("indptr", "indices", "data"):
         assert_same_bytes(getattr(op.b, name), getattr(want, name))
+    # each step row ends in its diagonal, c - weighted degree as scipy sums B
+    indptr, _, data = op.step
+    rows = np.arange(op.size) if op.order is None else op.order
+    assert_same_bytes(data[indptr[rows + 1] - 1], laplacian_parts(op)[2])
     for budget in (1, 7, iteration_budget(op.size)):
         x0 = initial_vector(seed, op.size)
         start = x0.copy()
@@ -379,35 +390,40 @@ def test_power_iteration_independent_of_blas_threads():
     assert digests[0] == digests[1]
 
 
-class TestSignPartition:
-    def vec(self, values):
-        values = np.asarray(values, dtype=np.float64)
-        return SpectralVector(values=values, nodes=np.arange(len(values)), seed=0, iterations=1)
+def split(values):
+    values = np.asarray(values, dtype=np.float64)
+    return sign_partition(values, np.arange(len(values)))
 
+
+def group_m(p):
+    return p.nodes[p.in_m]
+
+
+class TestSignPartition:
     def test_negative_goes_to_m(self):
-        p = sign_partition(self.vec([-1.0, 0.5]))
-        assert p.group_m().tolist() == [0]
-        assert p.group_mbar().tolist() == [1]
+        p = split([-1.0, 0.5])
+        assert group_m(p).tolist() == [0]
+        assert p.nodes[~p.in_m].tolist() == [1]
 
     def test_zero_boundary_and_median_fallback(self):
         # no negative entry: median split puts the lower half in M
-        p = sign_partition(self.vec([0.0, 0.3]))
-        assert p.group_m().tolist() == [0]
+        p = split([0.0, 0.3])
+        assert group_m(p).tolist() == [0]
 
     def test_two_negatives(self):
-        p = sign_partition(self.vec([-0.2, -0.1, 0.4]))
-        assert p.group_m().tolist() == [0, 1]
+        p = split([-0.2, -0.1, 0.4])
+        assert group_m(p).tolist() == [0, 1]
 
     def test_all_equal_falls_back_to_first_node(self):
-        p = sign_partition(self.vec([0.7, 0.7, 0.7]))
-        assert p.group_m().tolist() == [0]
+        p = split([0.7, 0.7, 0.7])
+        assert group_m(p).tolist() == [0]
         assert p.size_mbar == 2
 
     def test_both_groups_always_nonempty(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             k = int(rng.integers(2, 12))
-            p = sign_partition(self.vec(rng.normal(size=k).round(1)))
+            p = split(rng.normal(size=k).round(1))
             assert p.size_m >= 1
             assert p.size_mbar >= 1
 
@@ -542,23 +558,3 @@ class TestFineTune:
             current = step
         assert current == after
 
-
-class TestDebugCsv:
-    def test_schema(self):
-        vec = SpectralVector(
-            values=np.array([-0.5, 0.5]), nodes=np.array([3, 7]), seed=0, iterations=1
-        )
-        p = sign_partition(vec)
-        text = partition_debug_csv(vec, p)
-        lines = text.strip().split("\n")
-        assert lines[0] == "node_id,group,eigenvector_value"
-        assert lines[1] == "3,M,-0.5"
-        assert lines[2] == "7,Mbar,0.5"
-
-    def test_mismatched_nodes_rejected(self):
-        vec = SpectralVector(
-            values=np.array([-0.5, 0.5]), nodes=np.array([0, 1]), seed=0, iterations=1
-        )
-        p = Partition(nodes=np.array([0, 2]), in_m=np.array([True, False]))
-        with pytest.raises(ValueError):
-            partition_debug_csv(vec, p)
