@@ -100,7 +100,7 @@ class DismantlingSolution:
         order: np.ndarray,
         node_costs: np.ndarray,
         metadata: SolutionMetadata,
-        forest: tuple[_UnionFind, int] | None = None,
+        forest: tuple[list[int], list[int], int] | None = None,
     ):
         self.total_cost = float(node_costs.sum())
         self.metadata = metadata
@@ -152,48 +152,32 @@ class DismantlingSolution:
         return vars(self)
 
 
-class _UnionFind:
-    """List union-find with path halving, sized for replay loops."""
+def _find(parent: list[int], v: int) -> int:
+    """v's root in a union-find forest, halving the path to it."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
 
-    def __init__(self, parent: list[int], size: list[int]):
-        self.parent = parent
-        self.size = size
 
-    def find(self, v: int) -> int:
-        parent = self.parent
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return ra
-
-    @classmethod
-    def over_components(cls, graph: Graph, mask) -> tuple["_UnionFind", int]:
-        """Seed a union-find with the masked graph's components as flat
-        stars, skipping the per-edge union loop.  Returns (forest, gcc)."""
-        decomposition = components(graph, mask)
-        parent = np.where(np.asarray(mask, dtype=bool), decomposition.component_id, np.arange(graph.n))
-        size = np.ones(graph.n, dtype=np.int64)
-        size[list(decomposition.sizes)] = list(decomposition.sizes.values())
-        return cls(parent.tolist(), size.tolist()), decomposition.gcc_size
+def _forest(graph: Graph, mask) -> tuple[list[int], list[int], int]:
+    """A union-find forest seeded with the masked graph's components as
+    flat stars, with no per-edge union loop: (parent, size, gcc size).
+    A component's id is its root, every inactive node is a root of its
+    own, and size holds each root's node count."""
+    decomposition = components(graph, mask)
+    parent = np.where(np.asarray(mask, dtype=bool), decomposition.component_id, np.arange(graph.n))
+    size = np.bincount(parent, minlength=graph.n)
+    return parent.tolist(), size.tolist(), decomposition.gcc_size
 
 
 def _roots_around(
-    graph: Graph, removed: np.ndarray, base: np.ndarray, uf: _UnionFind, c: int
+    graph: Graph, removed: np.ndarray, base: np.ndarray, parent: list[int], size: list[int], c: int
 ) -> tuple[np.ndarray, list[int], dict[int, list[int]]]:
     """The removed nodes whose return would form a component of at most c
     nodes, found in one pass over the removed nodes' rows: their ids, the
     size of that component, and the distinct component ids around each.
-    uf must hold the active nodes' components as flat stars, so a
+    parent and size must be a _forest of the active nodes, so a
     component id is its root."""
     rows, nbrs = _adjacency_flat(graph.indptr, graph.indices, removed)
     active = base[nbrs]
@@ -202,12 +186,12 @@ def _roots_around(
     # keys in int64: an int32 row times n could wrap
     key = rows.astype(np.int64, copy=False) * graph.n
     del rows
-    key += np.asarray(uf.parent)[nbrs]
+    key += np.asarray(parent)[nbrs]
     del nbrs
     key.sort()
     owner, root = np.divmod(key[_run_starts(key)], graph.n)
     del key
-    merged = 1 + np.bincount(owner, minlength=len(removed), weights=np.asarray(uf.size)[root])
+    merged = 1 + np.bincount(owner, minlength=len(removed), weights=np.asarray(size)[root])
     ok = merged <= c
     keep = ok[owner]
     owner, root = owner[keep], root[keep]
@@ -223,24 +207,24 @@ def _roots_around(
 
 
 def replay_gcc_sizes(
-    graph: Graph, order: np.ndarray, forest: tuple[_UnionFind, int] | None = None
+    graph: Graph, order: np.ndarray, forest: tuple[list[int], list[int], int] | None = None
 ) -> tuple[np.ndarray, int]:
     """Largest-component size after each removal prefix of order.
 
     Removing nodes one by one and recomputing components is quadratic, so
     the replay runs backward instead: start from everything removed,
     re-activate in reverse order, and union edges as they come back.
-    forest is that start, (union-find, gcc size), when the caller holds
-    it; the replay then takes it over.  Returns (gcc size after each
-    prefix, gcc size before any removal).
+    forest is that start, a _forest (parent, size, gcc size), when the
+    caller holds it; the replay then takes it over.  Returns (gcc size
+    after each prefix, gcc size before any removal).
     """
     order = np.asarray(order, dtype=np.int64)
     if forest is None:
         base = full_mask(graph.n)
         base[order] = False
-        forest = _UnionFind.over_components(graph, base)
+        forest = _forest(graph, base)
         del base
-    uf, current = forest
+    parent, size, current = forest
     # the removed nodes' rows in one pass, keeping only the neighbours
     # already back when a node returns: those removed after it, or never
     position = np.full(graph.n, len(order), dtype=np.int64)
@@ -252,17 +236,22 @@ def replay_gcc_sizes(
     del rows
     flat = nbrs[back].tolist()
     del nbrs, back
-    size = uf.size
     nodes = order.tolist()
     after = [0] * len(nodes)
     for i in range(len(nodes) - 1, -1, -1):
         after[i] = current
-        v = nodes[i]
+        root = _find(parent, nodes[i])
         for u in flat[bounds[i] : bounds[i + 1]]:
-            uf.union(v, u)
-        # unions only grow v's component, so its final size is the
-        # largest any of them gave
-        current = max(current, size[uf.find(v)])
+            # union by size: the smaller tree hangs under the larger root
+            other = _find(parent, u)
+            if other != root:
+                if size[root] < size[other]:
+                    root, other = other, root
+                parent[other] = root
+                size[root] += size[other]
+        # unions only grow the returning node's component, so its final
+        # size is the largest any of them gave
+        current = max(current, size[root])
     return np.array(after, dtype=np.int64), current
 
 
@@ -271,7 +260,7 @@ def _build_solution(
     costs: CostVector,
     order: np.ndarray,
     metadata: SolutionMetadata,
-    forest: tuple[_UnionFind, int] | None = None,
+    forest: tuple[list[int], list[int], int] | None = None,
 ) -> DismantlingSolution:
     order = np.asarray(order, dtype=np.int64)
     return DismantlingSolution(graph, order, costs.w[order], metadata, forest)
@@ -376,17 +365,16 @@ def reinsert(
     removed = np.sort(order)
     base = full_mask(graph.n)
     base[removed] = False
-    uf, gcc = _UnionFind.over_components(graph, base)
-    nodes, merged, roots = _roots_around(graph, removed, base, uf, target.c)
+    parent, size, gcc = _forest(graph, base)
+    nodes, merged, roots = _roots_around(graph, removed, base, parent, size, target.c)
     del base, removed
     heap = list(zip(merged, (-costs.w[nodes]).tolist(), nodes.tolist()))
     del nodes, merged
     heapq.heapify(heap)
-    size, parent = uf.size, uf.parent
     returned = []
     while heap:
         s, neg_w, v = heapq.heappop(heap)
-        current = {uf.find(r) for r in roots[v]}
+        current = {_find(parent, r) for r in roots[v]}
         s_now = 1 + sum(map(size.__getitem__, current))
         if s_now > target.c:
             del roots[v]
@@ -418,8 +406,8 @@ def reinsert(
         reinserted=True,
         phase_seconds={**solution.metadata.phase_seconds, "reinsert": reinsert_seconds},
     )
-    result = _build_solution(graph, costs, order, metadata, (uf, gcc))
-    del uf
+    result = _build_solution(graph, costs, order, metadata, (parent, size, gcc))
+    del parent, size
     if result.total_cost > solution.total_cost + 1e-9:
         raise InternalInvariantError("reinsertion increased total cost")
     if result.final_gcc > target.c:

@@ -140,10 +140,10 @@ def _index_dtype(size: int) -> type:
     return np.int32 if size < 2**31 else np.int64
 
 
-def _whitespace(codes: np.ndarray, ascii: bool, breaks: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _whitespace(codes: np.ndarray, ascii: bool) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the whitespace bytes of UTF-8 text, as str.split()
-    finds whitespace, and which of them break lines: those at the given
-    break positions, or, for None, where str.splitlines() breaks."""
+    finds whitespace, and which of them break lines, as str.splitlines()
+    breaks them."""
     near, wide = codes <= 32, []
     if not ascii:
         # multi-byte whitespace leads with 0xC2 or 0xE1 to 0xE3, the bytes
@@ -162,16 +162,12 @@ def _whitespace(codes: np.ndarray, ascii: bool, breaks: np.ndarray | None) -> tu
     space = np.take(_SPACE, chars)
     if not space.all():
         at, chars = at[space], chars[space]
-    if breaks is None:
-        is_break = np.take(_BREAK, chars)
-        # "\r\n" is one break, at the "\r"
-        cr = np.flatnonzero(chars[:-1] == 13)
-        lf = cr + 1
-        is_break[lf[(chars[lf] == 10) & (at[lf] == at[cr] + 1)]] = False
-        breaks = wide
-    else:
-        is_break = np.zeros(len(at), dtype=bool)
-    is_break[np.searchsorted(at, breaks)] = True
+    is_break = np.take(_BREAK, chars)
+    # "\r\n" is one break, at the "\r"
+    cr = np.flatnonzero(chars[:-1] == 13)
+    lf = cr + 1
+    is_break[lf[(chars[lf] == 10) & (at[lf] == at[cr] + 1)]] = False
+    is_break[np.searchsorted(at, wide)] = True
     return at, is_break
 
 
@@ -252,11 +248,10 @@ def _intern(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple
     return np.take(np.take(rank, firsts), group), np.flatnonzero(is_first)
 
 
-def _edge_tokens(codes: np.ndarray, ascii: bool, breaks: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _edge_tokens(codes: np.ndarray, ascii: bool) -> tuple[np.ndarray, np.ndarray]:
     """Start and length of the first two tokens of every line that is
-    neither blank nor a comment, in text order.  breaks holds the line
-    break positions, or None to find them as str.splitlines() would."""
-    at, is_break = _whitespace(codes, ascii, breaks)
+    neither blank nor a comment, in text order."""
+    at, is_break = _whitespace(codes, ascii)
     # wide enough for the tokens' byte offsets too
     index = _index_dtype(len(codes) + 1)
     # -1 and len(codes) stand for the blanks around the text; a token
@@ -307,7 +302,7 @@ def _labels(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[
     return out[:-1].tobytes().decode("utf-8", "surrogatepass").split(" ")
 
 
-def parse_edge_list(text: str | Iterable[str]) -> Graph:
+def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated edge pairs into a Graph.
 
     Lines starting with '%' or '#' are comments.  Tokens may be arbitrary
@@ -316,23 +311,15 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
     than two tokens, or an input with no surviving edges, is an error.
     Extra tokens after the first two (weights, timestamps) are ignored.
 
-    Tokens split as str.split() does.  A string breaks into lines as
-    str.splitlines() does; a sequence of strings is one line per element.
-    One leading U+FEFF, a byte-order mark, is dropped.  Tokens are the gaps
-    between the whitespace of the text's UTF-8 bytes.
+    Tokens split as str.split() does, and lines break as str.splitlines()
+    breaks them.  One leading U+FEFF, a byte-order mark, is dropped.
+    Tokens are the gaps between the whitespace of the text's UTF-8 bytes.
     """
-    parts = [line.encode("utf-8", "surrogatepass") for line in ([text] if isinstance(text, str) else text)]
-    if parts:
-        parts[0] = parts[0].removeprefix("\ufeff".encode())
-    data = b"\n".join(parts)
-    breaks = None
     if not isinstance(text, str):
-        # only the joining newlines break lines; a newline inside an
-        # element is plain whitespace
-        breaks = np.cumsum([len(part) + 1 for part in parts[:-1]], dtype=np.int64) - 1
-    del parts
+        raise TypeError(f"parse_edge_list takes a str, not {type(text).__name__}")
+    data = text.encode("utf-8", "surrogatepass").removeprefix("\ufeff".encode())
     codes = np.frombuffer(data, dtype=np.uint8)
-    starts, lengths = _edge_tokens(codes, data.isascii(), breaks)
+    starts, lengths = _edge_tokens(codes, data.isascii())
     if not len(starts):
         raise ParseError("no edges in input")
     ids, first = _intern(codes, starts, lengths)
@@ -411,13 +398,24 @@ class Subgraph:
         return out
 
 
+def _gather_rows(indptr: np.ndarray, rows: np.ndarray, lengths: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The indptr, of the given dtype, of a CSR whose row j takes
+    lengths[j] entries from row rows[j] of the CSR with the given indptr,
+    and the source position of each of its entries; a row may read past
+    its source row's end."""
+    out = np.zeros(len(rows) + 1, dtype=dtype)
+    np.cumsum(lengths, out=out[1:])
+    src = np.repeat(indptr[rows] - out[:-1], lengths)
+    src += np.arange(len(src), dtype=src.dtype)
+    return out, src
+
+
 def _adjacency_flat(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray):
     """Flattened CSR rows of an id subset: (position in nodes per entry,
     neighbor per entry)."""
-    starts = indptr[nodes]
-    counts = indptr[nodes + 1] - starts
-    idx = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(int(counts.sum()))
-    return np.repeat(np.arange(len(nodes)), counts), indices[idx]
+    counts = indptr[nodes + 1] - indptr[nodes]
+    src = _gather_rows(indptr, nodes, counts, indptr.dtype)[1]
+    return np.repeat(np.arange(len(nodes)), counts), indices[src]
 
 
 def _component_labels(indptr: np.ndarray, indices: np.ndarray, kept: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from scipy.sparse._sparsetools import csr_matvec
 
 from .costs import CostVector
 from .errors import ComponentTooSmallError, DegenerateSpectrumError, InvalidCostError
-from .graph import Subgraph, _index_dtype
+from .graph import Subgraph, _gather_rows, _index_dtype
 from .rng import initial_vector, retry_seed
 
 # norms below this are treated as a collapse to zero
@@ -44,8 +44,9 @@ _DOT_CHUNK = 10_000
 # differs from the one before costs a branch miss; the step rows are sorted
 # by length once this many rows differ.  Per power step on preferential-
 # attachment graphs (degree costs, one BLAS thread) sorting and gathering
-# back cost 25% more at 1.3k changes, 7-10% less at 2.3k and 19-33% less
-# from 3.3k on, so the break-even is near 2k; this keeps clear of it
+# back cost 25% more at 1.3k changes and 19-33% less from 3.3k on.  On
+# the components of 2.2k-2.7k changes that the benchmark's regular and
+# preferential-attachment inputs bisect, it ties or costs up to 23% more
 _SORT_ROWS_MIN_CHANGES = 4_096
 
 
@@ -83,18 +84,6 @@ class WeightedLaplacianOperator:
         rows = np.arange(self.size) if self.order is None else self.order
         b_indptr, src = _gather_rows(indptr, rows, np.diff(indptr)[rows] - 1, indptr.dtype)
         return sp.csr_matrix((data[src], indices[src], b_indptr), shape=(self.size, self.size))
-
-
-def _gather_rows(indptr: np.ndarray, rows: np.ndarray, lengths: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The indptr, of the given dtype, of a CSR whose row j takes
-    lengths[j] entries from row rows[j] of the CSR with the given indptr,
-    and the source position of each of its entries; a row may read past
-    its source row's end."""
-    out = np.zeros(len(rows) + 1, dtype=dtype)
-    np.cumsum(lengths, out=out[1:])
-    src = np.repeat(indptr[rows] - out[:-1], lengths)
-    src += np.arange(len(src), dtype=src.dtype)
-    return out, src
 
 
 def build_operator(view: Subgraph, costs: CostVector) -> WeightedLaplacianOperator:

@@ -32,7 +32,7 @@ from netdismantle import (
     sign_partition,
 )
 from netdismantle.cover import CoverResult, prune_redundant, weighted_vertex_cover
-from netdismantle.dismantle import SolutionMetadata, _build_solution, _UnionFind
+from netdismantle.dismantle import SolutionMetadata, _build_solution, _find, _forest
 from netdismantle.errors import (
     ComponentTooSmallError,
     DegenerateSpectrumError,
@@ -354,14 +354,21 @@ def reference_reinsert(graph, costs, target, solution):
     removed = sorted(solution.removed)
     base = full_mask(graph.n)
     base[removed] = False
-    uf, _ = _UnionFind.over_components(graph, base)
+    parent, size, _ = _forest(graph, base)
     mask = base.tolist()
-    size = uf.size
     w = costs.w.tolist()
 
     def merged_size(v: int) -> int:
-        roots = {uf.find(u) for u in graph.neighbors(v).tolist() if mask[u]}
+        roots = {_find(parent, u) for u in graph.neighbors(v).tolist() if mask[u]}
         return 1 + sum(size[r] for r in roots)
+
+    def union(a: int, b: int) -> None:
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra != rb:
+            if size[ra] < size[rb]:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            size[ra] += size[rb]
 
     heap = []
     for v in removed:
@@ -382,7 +389,7 @@ def reference_reinsert(graph, costs, target, solution):
         still_removed.discard(v)
         for u in graph.neighbors(v).tolist():
             if mask[u]:
-                uf.union(v, u)
+                union(v, u)
     reinsert_seconds = time.perf_counter() - t0
 
     order = np.array(

@@ -310,7 +310,7 @@ class TestVariabilityStudy:
         assert "ensemble member 0 (seed 7) at multiplier 3 failed: " in str(excinfo.value)
 
     # The study keeps one small row per member and drops each seed's
-    # members once it has handed them over, so its peak at K=16 exceeds
+    # members once it has handed them over, so its peak at K=8 exceeds
     # its peak after the first 4 seeds by less than one seed's members.
     # With two workers, up to three finished members can wait unread in
     # the pool's four submitted tasks, so the bound is two seeds' members.
@@ -321,7 +321,8 @@ class TestVariabilityStudy:
     def test_peak_memory_flat_in_members(self, workers, monkeypatch):
         g = load_bundled("sbm_600.txt")
         costs = CostVector.unit(g)
-        target = DismantlingTarget.from_fraction(g.n)
+        # C = 60 keeps the bisections, which tracemalloc slows, few
+        target = DismantlingTarget.from_fraction(g.n, 0.1)
         init = ensemble._init_worker
 
         def untraced_worker(*args):
@@ -344,11 +345,11 @@ class TestVariabilityStudy:
             gc.collect()
             seed_bytes -= tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            run_variability(g, costs, target, EnsembleConfig(k=16, workers=workers), [1, 2], on_seed)
+            run_variability(g, costs, target, EnsembleConfig(k=8, workers=workers), [1, 2], on_seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(peaks) == 16
+        assert len(peaks) == 8
         assert peak - peaks[3] <= workers * seed_bytes
 
 

@@ -65,11 +65,17 @@ class TestParsing:
     def test_byte_order_mark_dropped(self):
         text = "1 2\n1 3\n2 3\n"
         assert_same_graph(parse_edge_list("\ufeff" + text), parse_edge_list(text))
-        lines = text.splitlines(keepends=True)
-        assert_same_graph(parse_edge_list(["\ufeff" + lines[0], *lines[1:]]), parse_edge_list(lines))
+        assert_same_graph(parse_edge_list("\ufeff% header\n" + text), parse_edge_list(text))
         # only one, and only at the start
         assert parse_edge_list("\ufeff\ufeff1 2\n").labels == ("\ufeff1", "2")
-        assert parse_edge_list(["1 2\n", "\ufeff1 3\n"]).labels == ("1", "2", "\ufeff1", "3")
+        assert parse_edge_list("1 2\n\ufeff1 3\n").labels == ("1", "2", "\ufeff1", "3")
+
+    @pytest.mark.parametrize(
+        "text", [["1 2\n"], (line for line in ["1 2\n"]), b"1 2\n"], ids=["list", "generator", "bytes"]
+    )
+    def test_only_a_str_parses(self, text):
+        with pytest.raises(TypeError):
+            parse_edge_list(text)
 
     def test_edges_lexicographically_sorted_and_canonical(self):
         g = parse_edge_list("5 1\n3 2\n5 2\n")
@@ -112,7 +118,6 @@ def reference_from_edges(edges, n=None, labels=None):
 
 def reference_parse(text):
     """The per-line parser the vectorized pass replaced."""
-    lines = text.splitlines() if isinstance(text, str) else text
     id_map: dict[str, int] = {}
     labels: list[str] = []
     edge_set: set[tuple[int, int]] = set()
@@ -125,7 +130,7 @@ def reference_parse(text):
             labels.append(token)
         return i
 
-    for line_number, raw in enumerate(lines, start=1):
+    for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("%") or line.startswith("#"):
             continue
@@ -163,8 +168,8 @@ def outcome(parse, text):
         return str(err), err.line_number
 
 
-def assert_same_outcome(text, feed=lambda text: text):
-    mine, ref = outcome(parse_edge_list, feed(text)), outcome(reference_parse, feed(text))
+def assert_same_outcome(text):
+    mine, ref = outcome(parse_edge_list, text), outcome(reference_parse, text)
     if isinstance(ref, Graph):
         assert isinstance(mine, Graph), mine
         assert_same_graph(mine, ref)
@@ -182,7 +187,7 @@ BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\
 
 
 @st.composite
-def edge_lines(draw, breaks=True):
+def edge_lines(draw):
     """Lines of an edge list: mostly edges, some with extra tokens, some
     comments (also indented), blank or one-token lines."""
     lines = []
@@ -200,8 +205,7 @@ def edge_lines(draw, breaks=True):
             line = draw(st.sampled_from(BLANKS)) + line
         if draw(st.booleans()):
             line += draw(st.sampled_from(BLANKS))
-        if breaks:
-            line += draw(st.sampled_from(BREAKS))
+        line += draw(st.sampled_from(BREAKS))
         lines.append(line)
     return lines
 
@@ -216,8 +220,6 @@ class TestParserReference:
     def test_bundled_files(self, name):
         text = (DATA_DIR / name).read_text()
         assert_same_graph(parse_edge_list(text), reference_parse(text))
-        lines = text.splitlines(keepends=True)
-        assert_same_graph(parse_edge_list(lines), reference_parse(lines))
 
     @settings(max_examples=300, deadline=None)
     @given(lines=edge_lines())
@@ -228,13 +230,6 @@ class TestParserReference:
     @given(text=st.text(alphabet="ab01%# \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000\x00é", max_size=60))
     def test_drawn_characters(self, text):
         assert_same_outcome(text)
-
-    @settings(max_examples=200, deadline=None)
-    @given(lines=edge_lines(breaks=False), ends=st.lists(st.sampled_from(["", "\n", "\r\n", " \n"])))
-    def test_drawn_line_lists(self, lines, ends):
-        lines = [line + (ends[i] if i < len(ends) else "") for i, line in enumerate(lines)]
-        assert_same_outcome(lines)
-        assert_same_outcome(lines, feed=iter)
 
     def test_every_whitespace_character_between_multibyte_labels(self):
         spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
@@ -253,20 +248,11 @@ class TestParserReference:
         graph = parse_edge_list(text)
         assert set(labels) <= set(graph.labels)
         assert_same_graph(graph, reference_parse(text))
-        assert_same_graph(parse_edge_list(lines), reference_parse(lines))
-        # inside a list element a break is plain whitespace
-        lines = [f"{labels[i % len(labels)]}{brk}{labels[(i + 1) % len(labels)]}" for i, brk in enumerate(breaks)]
-        assert_same_graph(parse_edge_list(lines), reference_parse(lines))
 
     def test_nul_suffix_tokens_stay_apart(self):
         g = parse_edge_list("a a\x00\na\x00\x00 a\n")
         assert g.labels == ("a", "a\x00", "a\x00\x00")
         assert g.m == 2
-
-    def test_list_elements_number_lines(self):
-        with pytest.raises(ParseError) as err:
-            parse_edge_list(["a b\n", "c d\ne\n", "f\n"])
-        assert err.value.line_number == 3
 
     def test_crlf_is_one_break(self):
         with pytest.raises(ParseError) as err:
@@ -288,7 +274,6 @@ class TestParserReference:
         assert 2 * len(pairs) > 2**17
         text = "".join(lines)
         assert_same_graph(parse_edge_list(text), reference_parse(text))
-        assert_same_graph(parse_edge_list(lines), reference_parse(lines))
 
     @pytest.mark.parametrize(
         "edges",
