@@ -22,8 +22,9 @@ from .spectral import Partition
 
 @dataclass(frozen=True)
 class CoverResult:
-    cover: np.ndarray  # sorted node ids
-    total_cost: float
+    """A vertex cover of cut edges: its node ids, ascending."""
+
+    cover: np.ndarray
 
 
 def cut_edges(view: Subgraph, partition: Partition) -> np.ndarray:
@@ -41,7 +42,7 @@ def weighted_vertex_cover(cut: np.ndarray, weight: np.ndarray) -> CoverResult:
     The edges are pairs of ids indexing weight, the node costs.  Every
     endpoint starts with its full cost as residual; each edge transfers
     eps = min of the two residuals from both.  Nodes whose residual
-    reaches zero (including zero-cost nodes) form the cover.  Total cost
+    reaches zero (including zero-cost nodes) form the cover.  Its cost
     is at most twice the optimum.
     """
     cut = np.asarray(cut, dtype=np.int64).reshape(-1, 2)
@@ -58,8 +59,7 @@ def weighted_vertex_cover(cut: np.ndarray, weight: np.ndarray) -> CoverResult:
             eps = min(ru, rv)
             residual[u] = ru - eps
             residual[v] = rv - eps
-    cover = ends[np.array(residual) == 0.0]
-    return CoverResult(cover=cover, total_cost=float(weight[cover].sum()) if len(cover) else 0.0)
+    return CoverResult(cover=ends[np.array(residual) == 0.0])
 
 
 def prune_redundant(result: CoverResult, cut: np.ndarray, weight: np.ndarray) -> CoverResult:
@@ -89,5 +89,4 @@ def prune_redundant(result: CoverResult, cut: np.ndarray, weight: np.ndarray) ->
     for i, mine in enumerate(partners):
         dropped[i] = not any(dropped[j] for j in mine)
     in_cover[order[dropped]] = False
-    kept = np.flatnonzero(in_cover)
-    return CoverResult(cover=kept, total_cost=float(weight[kept].sum()) if len(kept) else 0.0)
+    return CoverResult(cover=np.flatnonzero(in_cover))

@@ -39,10 +39,10 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class DismantlingTarget:
-    """Stop once the largest component has at most c nodes."""
+    """Stop once the largest component has at most c nodes; from_fraction
+    sets c to the given share of n, rounded up, and at least 1."""
 
     c: int
-    fraction: float | None = None
 
     def __post_init__(self):
         if self.c < 1:
@@ -53,11 +53,11 @@ class DismantlingTarget:
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
         # the decimal the float prints as, so 0.07 * 100 is 7, not 7.000000000000001
-        return cls(c=max(1, math.ceil(Fraction(str(float(fraction))) * n)), fraction=fraction)
+        return cls(c=max(1, math.ceil(Fraction(str(float(fraction))) * n)))
 
     @classmethod
     def absolute(cls, c: int) -> "DismantlingTarget":
-        return cls(c=c, fraction=None)
+        return cls(c=c)
 
 
 @dataclass
@@ -255,17 +255,6 @@ def replay_gcc_sizes(
     return np.array(after, dtype=np.int64), current
 
 
-def _build_solution(
-    graph: Graph,
-    costs: CostVector,
-    order: np.ndarray,
-    metadata: SolutionMetadata,
-    forest: tuple[list[int], list[int], int] | None = None,
-) -> DismantlingSolution:
-    order = np.asarray(order, dtype=np.int64)
-    return DismantlingSolution(graph, order, costs.w[order], metadata, forest)
-
-
 def dismantle(
     graph: Graph,
     costs: CostVector,
@@ -334,7 +323,7 @@ def dismantle(
         pieces = view.pieces(kept, target.c)
     metadata.phase_seconds = phase
     order = np.concatenate(batches) if batches else np.empty(0, dtype=np.int64)
-    return _build_solution(graph, costs, order, metadata)
+    return DismantlingSolution(graph, order, costs.w[order], metadata)
 
 
 def reinsert(
@@ -406,7 +395,7 @@ def reinsert(
         reinserted=True,
         phase_seconds={**solution.metadata.phase_seconds, "reinsert": reinsert_seconds},
     )
-    result = _build_solution(graph, costs, order, metadata, (parent, size, gcc))
+    result = DismantlingSolution(graph, order, costs.w[order], metadata, (parent, size, gcc))
     del parent, size
     if result.total_cost > solution.total_cost + 1e-9:
         raise InternalInvariantError("reinsertion increased total cost")
@@ -423,5 +412,5 @@ def cost_of(solution: DismantlingSolution, costs: CostVector, graph: Graph) -> i
     total = costs.total()
     if total == 0.0:
         return 0.0
-    removed = np.fromiter(solution.removed, dtype=np.int64, count=len(solution.removed))
+    removed = np.fromiter(solution.removed, dtype=np.int64, count=solution.removed_count)
     return float(costs.w[removed].sum() / total) if len(removed) else 0.0

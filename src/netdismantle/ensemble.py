@@ -207,24 +207,13 @@ def run_ensemble(
 
 @dataclass(frozen=True)
 class DifferenceHistogram:
-    """Distribution of gcc(curve_a) - gcc(curve_b) sampled on a cost grid."""
+    """Distribution of gcc(curve_a) - gcc(curve_b) sampled on a cost grid:
+    the difference at each grid point, and each distinct difference
+    (ascending) with its count."""
 
-    grid: np.ndarray
     differences: np.ndarray
     values: np.ndarray
     counts: np.ndarray
-
-    @property
-    def positive_fraction(self) -> float:
-        return float((self.differences > 0).mean())
-
-    @property
-    def negative_fraction(self) -> float:
-        return float((self.differences < 0).mean())
-
-    @property
-    def zero_fraction(self) -> float:
-        return float((self.differences == 0).mean())
 
 
 def _step_interpolate(trajectory: list[tuple[float, int]], grid: np.ndarray) -> np.ndarray:
@@ -259,7 +248,7 @@ def gcc_difference_histogram(
     b = _step_interpolate(curve_b, grid)
     differences = a - b
     values, counts = np.unique(differences, return_counts=True)
-    return DifferenceHistogram(grid=grid, differences=differences, values=values, counts=counts)
+    return DifferenceHistogram(differences=differences, values=values, counts=counts)
 
 
 def run_variability(

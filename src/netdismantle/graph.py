@@ -337,14 +337,11 @@ class ComponentDecomposition:
     """Connected components of the masked graph.
 
     component_id[v] is the smallest node id inside v's component, or -1
-    for masked-out nodes.  sizes maps component id to member count.
-    gcc_id is the id of the largest component, ties broken by smaller id;
-    it is -1 (with gcc_size 0) when no node is active.
+    for masked-out nodes.  gcc_size is the node count of the largest
+    component, 0 when no node is active.
     """
 
     component_id: np.ndarray
-    sizes: dict[int, int]
-    gcc_id: int
     gcc_size: int
 
 
@@ -446,10 +443,4 @@ def components(graph: Graph, mask: NodeMask) -> ComponentDecomposition:
     canon = act_idx[first]
     component_id = np.full(graph.n, -1, dtype=np.int64)
     component_id[act_idx] = canon[inverse]
-    top = int(counts.max(initial=0))
-    return ComponentDecomposition(
-        component_id=component_id,
-        sizes=dict(zip(canon.tolist(), counts.tolist())),
-        gcc_id=int(canon[counts == top].min()) if top else -1,
-        gcc_size=top,
-    )
+    return ComponentDecomposition(component_id=component_id, gcc_size=int(counts.max(initial=0)))

@@ -223,6 +223,20 @@ def members(decomposition: ComponentDecomposition, comp_id: int) -> np.ndarray:
     return np.flatnonzero(decomposition.component_id == comp_id)
 
 
+def component_sizes(decomposition: ComponentDecomposition) -> dict[int, int]:
+    """The node count of every component, keyed by component id."""
+    ids = decomposition.component_id
+    comp_ids, counts = np.unique(ids[ids >= 0], return_counts=True)
+    return dict(zip(comp_ids.tolist(), counts.tolist()))
+
+
+def largest_component(decomposition: ComponentDecomposition) -> int:
+    """The smallest id among the largest components, or -1 when no node
+    is active."""
+    sizes = component_sizes(decomposition)
+    return min(sizes, key=lambda c: (-sizes[c], c), default=-1)
+
+
 def gcc_size(graph: Graph, mask: NodeMask) -> int:
     """Size of the largest connected component of the masked graph."""
     return components(graph, mask).gcc_size

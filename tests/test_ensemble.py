@@ -357,7 +357,7 @@ class TestDifferenceHistogram:
     def test_identical_curves_are_all_zero(self):
         curve = [(0.0, 10), (1.0, 6), (2.0, 3)]
         hist = gcc_difference_histogram(curve, curve, np.array([0.0, 0.5, 1.0, 2.0]))
-        assert hist.zero_fraction == 1.0
+        assert float((hist.differences == 0).mean()) == 1.0
         assert hist.values.tolist() == [0]
         assert hist.counts.tolist() == [4]
 
@@ -367,8 +367,8 @@ class TestDifferenceHistogram:
         hist = gcc_difference_histogram(a, b, np.array([0.0, 0.5, 1.0]))
         assert hist.values.tolist() == [10]
         assert hist.counts.tolist() == [3]
-        assert hist.positive_fraction == 1.0
-        assert hist.negative_fraction == 0.0
+        assert float((hist.differences > 0).mean()) == 1.0
+        assert float((hist.differences < 0).mean()) == 0.0
 
     def test_step_semantics_right_continuous(self):
         # between removals the curve holds the last gcc; exactly at a
@@ -404,6 +404,7 @@ class TestDifferenceHistogram:
         top = min(sol_a.trajectory[-1][0], sol_b.trajectory[-1][0])
         grid = np.linspace(0.0, top, 32)
         hist = gcc_difference_histogram(sol_a.trajectory, sol_b.trajectory, grid)
-        fractions = hist.positive_fraction + hist.negative_fraction + hist.zero_fraction
+        d = hist.differences
+        fractions = float((d > 0).mean()) + float((d < 0).mean()) + float((d == 0).mean())
         assert fractions == pytest.approx(1.0)
         assert hist.differences.shape == (32,)

@@ -19,7 +19,7 @@ from netdismantle import (
 from netdismantle.graph import _SPAN
 
 from conftest import BUNDLED, DATA_DIR, random_graph
-from oracles import bfs_components, edges, gcc_size, id_map, members
+from oracles import bfs_components, component_sizes, edges, gcc_size, id_map, largest_component, members
 
 
 class TestParsing:
@@ -373,33 +373,33 @@ class TestComponents:
     def test_path_all_active(self):
         g = Graph.from_edges([(0, 1), (1, 2)])
         dec = components(g, full_mask(3))
-        assert dec.gcc_id == 0
+        assert largest_component(dec) == 0
         assert dec.gcc_size == 3
-        assert dec.sizes == {0: 3}
+        assert component_sizes(dec) == {0: 3}
 
     def test_component_ids_are_min_member(self):
         g = Graph.from_edges([(0, 1), (2, 3), (4, 5)], n=6)
         dec = components(g, full_mask(6))
         assert dec.component_id.tolist() == [0, 0, 2, 2, 4, 4]
         # three size-2 components tie; smallest id wins
-        assert dec.gcc_id == 0
+        assert largest_component(dec) == 0
 
     def test_mask_removal_splits(self):
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
         mask = full_mask(4)
         mask[1] = False
         dec = components(g, mask)
-        assert dec.sizes == {0: 1, 2: 2}
-        assert dec.gcc_id == 2
+        assert component_sizes(dec) == {0: 1, 2: 2}
+        assert largest_component(dec) == 2
         assert dec.gcc_size == 2
         assert dec.component_id[1] == -1
 
     def test_empty_mask(self):
         g = Graph.from_edges([(0, 1)])
         dec = components(g, np.zeros(2, dtype=bool))
-        assert dec.gcc_id == -1
+        assert largest_component(dec) == -1
         assert dec.gcc_size == 0
-        assert dec.sizes == {}
+        assert component_sizes(dec) == {}
 
     def test_star_hub_inactive_gcc_is_one(self):
         # star S5: removing the hub isolates every leaf
@@ -424,12 +424,12 @@ class TestComponents:
         dec = components(g, mask)
         oracle = {frozenset(c) for c in bfs_components(g, mask)}
         mine = {
-            frozenset(int(v) for v in members(dec, c)) for c in dec.sizes
+            frozenset(int(v) for v in members(dec, c)) for c in component_sizes(dec)
         }
         assert mine == oracle
         if oracle:
             assert dec.gcc_size == max(len(c) for c in oracle)
-        for comp_id, size in dec.sizes.items():
+        for comp_id, size in component_sizes(dec).items():
             assert comp_id == min(int(v) for v in members(dec, comp_id))
             assert size == len(members(dec, comp_id))
 

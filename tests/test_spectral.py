@@ -38,7 +38,7 @@ from netdismantle.spectral import (
 )
 
 from conftest import BUNDLED, fiedler_test_instances, heavy_tailed_graph, load_bundled, random_connected_graph
-from oracles import dense_fiedler, edges, laplacian_parts, members, subgraph
+from oracles import dense_fiedler, edges, laplacian_parts, largest_component, members, subgraph
 
 
 def unit(g):
@@ -290,7 +290,7 @@ class TestHotPathReference:
         graph = load_bundled(name)
         mask = full_mask(graph.n)
         decomposition = components(graph, mask)
-        comp = members(decomposition, decomposition.gcc_id)
+        comp = members(decomposition, largest_component(decomposition))
         costs = CostVector.for_mode(graph, mode)
         assert_hot_path_matches_reference(graph, costs, comp, seed=graph.n)
 
@@ -311,7 +311,7 @@ class TestHotPathReference:
         if decomposition.gcc_size < 2:
             mask = full_mask(n)
             decomposition = components(graph, mask)
-        comp = members(decomposition, decomposition.gcc_id)
+        comp = members(decomposition, largest_component(decomposition))
         costs = CostVector.for_mode(graph, mode)
         assert_hot_path_matches_reference(graph, costs, comp, seed=seed)
 
