@@ -27,7 +27,7 @@ from .dismantle import DismantlingTarget
 from .ensemble import EnsembleConfig, _run_member, run_ensemble, run_variability
 from .errors import InternalInvariantError, InvalidCostError, ParseError
 from .graph import Graph, parse_edge_list
-from .serialize import format_float, report_to_dict, solution_json, to_json, trajectory_csv
+from .serialize import format_float, histogram_csv, report_to_dict, solution_json, to_json, trajectory_csv
 
 WORKERS_ENV = "DISMANTLE_WORKERS"
 
@@ -134,7 +134,7 @@ def _resolve_settings(args: argparse.Namespace, unused: tuple[str, ...] = ()) ->
     for name in unused:
         if name in merged:
             raise _UsageError(f"{args.command} does not use {name!r} (--{name.replace('_', '-')})")
-    if "workers" not in merged:
+    if "workers" not in merged and "workers" not in unused:
         env = os.environ.get(WORKERS_ENV)
         if env is not None:
             try:
@@ -233,7 +233,7 @@ def cmd_variability(args: argparse.Namespace) -> int:
             _write(out_dir / "trajectories", name, trajectory_csv(trajectory))
         for member, hist in zip(runs[1:], histograms):
             name = f"D{runs[0].multiplier}_vs_D{member.multiplier}_member{member.index}.csv"
-            _write(out_dir / "histograms", name, _histogram_csv(hist))
+            _write(out_dir / "histograms", name, histogram_csv(hist))
 
     summary, settling, rows = run_variability(graph, costs, target, config, multipliers, write_seed)
     cost_rows = ["multiplier,member,seed,cost,final_gcc,seconds"] + [
@@ -259,13 +259,6 @@ def cmd_variability(args: argparse.Namespace) -> int:
         )
     print(f"outputs in {out_dir}")
     return 0
-
-
-def _histogram_csv(hist) -> str:
-    lines = ["difference,count"]
-    for value, count in zip(hist.values, hist.counts):
-        lines.append(f"{format_float(float(value))},{int(count)}")
-    return "\n".join(lines) + "\n"
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -297,7 +290,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    settings = _resolve_settings(args)
+    unused = tuple(f.name for f in fields(RunSettings) if f.name not in ("input", "out"))
+    settings = _resolve_settings(args, unused)
     graph = _load_graph(settings.input)
     text = to_json(graph.stats())
     print(text, end="")
@@ -340,10 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, ParseError, InvalidCostError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (_UsageError, ParseError, InvalidCostError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

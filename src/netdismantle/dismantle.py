@@ -18,7 +18,6 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 
@@ -82,9 +81,9 @@ class DismantlingSolution:
     ids, their costs, and gcc_after, the largest-component size once that
     node and all earlier ones are gone.  removal_order, trajectory and
     removed are views built from them on each read and kept nowhere:
-    removal_order lists (node, cost, gcc_after), trajectory pairs
-    cumulative cost with gcc size, starting from (0, initial gcc) before
-    any removal, and removed is the node set.
+    removal_order lists (node, cost, gcc_after), trajectory is two
+    arrays, cumulative cost (float64) and gcc size (int64), starting from
+    0 and the initial gcc before any removal, and removed is the node set.
 
     gcc_after comes from replaying the deletion order over the graph,
     which happens once, on the first read of removal_order, trajectory or
@@ -136,10 +135,9 @@ class DismantlingSolution:
         return list(zip(self._order.tolist(), self._costs.tolist(), after.tolist()))
 
     @property
-    def trajectory(self) -> list[tuple[float, int]]:
-        after = self._replayed_gcc_after().tolist()
-        cumulative = accumulate(self._costs.tolist(), initial=0.0)
-        return list(zip(cumulative, [self.metadata.initial_gcc, *after]))
+    def trajectory(self) -> tuple[np.ndarray, np.ndarray]:
+        after = self._replayed_gcc_after()
+        return np.cumsum(np.append(0.0, self._costs)), np.append(self.metadata.initial_gcc, after)
 
     @property
     def final_gcc(self) -> int:

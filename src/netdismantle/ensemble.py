@@ -88,12 +88,8 @@ class EnsembleReport:
 def _best_index(members: list[MemberResult]) -> int:
     if not members:
         raise ValueError("empty ensemble")
-    best = 0
-    for i in range(1, len(members)):
-        a, b = members[i], members[best]
-        if (a.reported_cost, a.final_gcc, a.index) < (b.reported_cost, b.final_gcc, b.index):
-            best = i
-    return best
+    key = [(m.reported_cost, m.final_gcc, m.index) for m in members]
+    return min(range(len(members)), key=key.__getitem__)
 
 
 # worker processes get the shared inputs once via the initializer instead
@@ -216,13 +212,14 @@ class DifferenceHistogram:
     counts: np.ndarray
 
 
-def _step_interpolate(trajectory: list[tuple[float, int]], grid: np.ndarray) -> np.ndarray:
+def _step_interpolate(trajectory: tuple[np.ndarray, np.ndarray], grid: np.ndarray) -> np.ndarray:
     """Right-continuous step value of a trajectory at each grid point:
     the gcc after the last removal whose cumulative cost is <= the point."""
-    if not trajectory:
+    costs, gccs = trajectory
+    if len(costs) != len(gccs):
+        raise ValueError("trajectory costs and gcc sizes differ in length")
+    if len(costs) == 0:
         raise ValueError("empty trajectory")
-    costs = np.array([c for c, _ in trajectory], dtype=np.float64)
-    gccs = np.array([g for _, g in trajectory], dtype=np.int64)
     if (np.diff(costs) < 0).any():
         raise ValueError("trajectory costs must be non-decreasing")
     idx = np.searchsorted(costs, grid, side="right") - 1
@@ -232,11 +229,11 @@ def _step_interpolate(trajectory: list[tuple[float, int]], grid: np.ndarray) -> 
 
 
 def gcc_difference_histogram(
-    curve_a: list[tuple[float, int]],
-    curve_b: list[tuple[float, int]],
+    curve_a: tuple[np.ndarray, np.ndarray],
+    curve_b: tuple[np.ndarray, np.ndarray],
     cost_grid: np.ndarray,
 ) -> DifferenceHistogram:
-    """Histogram of pointwise gcc differences between two removal curves.
+    """Histogram of pointwise gcc differences between two trajectories.
 
     Positive entries mean curve_b kept the giant component smaller than
     curve_a at that spend level.
@@ -257,19 +254,19 @@ def run_variability(
     target: DismantlingTarget,
     config: EnsembleConfig,
     multipliers: Sequence[int],
-    on_seed: Callable[[list[MemberResult], list[list[tuple[float, int]]], list[DifferenceHistogram]], None],
+    on_seed: Callable[[list[MemberResult], list[tuple[np.ndarray, np.ndarray]], list[DifferenceHistogram]], None],
 ) -> tuple[dict, dict, list[MemberResult]]:
     """Run config's K seeds at each of the distinct, ascending multipliers
     (config.iter_multiplier is not read) and compare each seed's curve at
     every larger multiplier with its curve at the smallest.
 
     Once a seed has run at every multiplier, on_seed gets its members,
-    their trajectories and the base-vs-D gcc difference histograms on the
-    union of both curves' costs; then they are dropped.  Returns the
-    summary (cost spread per multiplier; difference signs pooled over all
-    seeds and grid points), the settling result (whether every member
-    followed the first member's trajectory, per multiplier, and the
-    smallest multiplier from which on all did, or None), and each
+    their trajectories (two arrays each) and the base-vs-D gcc difference
+    histograms on the union of both curves' costs; then they are dropped.
+    Returns the summary (cost spread per multiplier; difference signs
+    pooled over all seeds and grid points), the settling result (whether
+    every member followed the first member's trajectory, per multiplier,
+    and the smallest multiplier from which on all did, or None), and each
     member's result without its solution.
     """
     multipliers = list(multipliers)
@@ -277,7 +274,7 @@ def run_variability(
         raise ValueError("multipliers must be distinct and ascending")
     rows: list[MemberResult] = []
     signs = np.zeros((len(multipliers) - 1, 3), dtype=np.int64)  # negative, zero, positive
-    first: list[list[tuple[float, int]]] = []
+    first: list[tuple[np.ndarray, np.ndarray]] = []
     settled = [True] * len(multipliers)
     seed: list[MemberResult] = []
     for member in _members(graph, costs, target, config, multipliers):
@@ -287,11 +284,9 @@ def run_variability(
             continue
         trajectories = [m.solution.trajectory for m in seed]
         first = first or trajectories
-        settled = [s and t == f for s, t, f in zip(settled, trajectories, first)]
+        settled = [s and all(map(np.array_equal, t, f)) for s, t, f in zip(settled, trajectories, first)]
         base = trajectories[0]
-        histograms = [
-            gcc_difference_histogram(base, t, np.unique([c for c, _ in base + t])) for t in trajectories[1:]
-        ]
+        histograms = [gcc_difference_histogram(base, t, np.union1d(base[0], t[0])) for t in trajectories[1:]]
         for counts, hist in zip(signs, histograms):
             counts += np.bincount(np.sign(hist.differences) + 1, minlength=3)
         on_seed(seed, trajectories, histograms)

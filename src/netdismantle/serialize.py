@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from enum import Enum
 from typing import Any
 
 import numpy as np
 
 from .dismantle import DismantlingSolution
-from .ensemble import EnsembleReport
+from .ensemble import DifferenceHistogram, EnsembleReport
 
 
 def format_float(x: float) -> str:
@@ -116,24 +117,23 @@ def solution_json(solution: DismantlingSolution, reported_cost: float | int) -> 
     return to_json({**_summary(solution, reported_cost), "removal_order": removal_order})
 
 
-def trajectory_csv(trajectory: list[tuple[float, int]]) -> str:
-    lines = ["cumulative_cost,gcc_size"]
-    for cost, gcc in trajectory:
-        lines.append(f"{format_float(cost)},{int(gcc)}")
-    return "\n".join(lines) + "\n"
+def _float_int_csv(header: str, floats: np.ndarray, ints: np.ndarray) -> str:
+    """A two-column CSV: floats at full precision, then integers."""
+    rows = (f"{format_float(x)},{k}" for x, k in zip(floats.tolist(), ints.tolist()))
+    return "\n".join([header, *rows]) + "\n"
+
+
+def trajectory_csv(trajectory: tuple[np.ndarray, np.ndarray]) -> str:
+    return _float_int_csv("cumulative_cost,gcc_size", *trajectory)
+
+
+def histogram_csv(histogram: DifferenceHistogram) -> str:
+    return _float_int_csv("difference,count", histogram.values, histogram.counts)
 
 
 def report_to_dict(report: EnsembleReport) -> dict:
-    cfg = report.config
     return {
-        "config": {
-            "k": cfg.k,
-            "base_seed": cfg.base_seed,
-            "iter_multiplier": cfg.iter_multiplier,
-            "reinsertion": cfg.reinsertion,
-            "fine_tuning": cfg.fine_tuning,
-            "workers": cfg.workers,
-        },
+        "config": asdict(report.config),
         "best_index": report.best_index,
         "cost_summary": report.cost_summary(),
         "members": [

@@ -261,3 +261,14 @@ def laplacian_parts(op: WeightedLaplacianOperator) -> tuple[np.ndarray, float, n
     weighted_degree = np.asarray(op.b.sum(axis=1)).ravel()
     shift = 2.0 * float(weighted_degree.max())
     return weighted_degree, shift, shift - weighted_degree
+
+
+def trajectory_rows(trajectory: tuple[np.ndarray, np.ndarray]) -> list[tuple[float, int]]:
+    """A trajectory's two arrays as (cumulative cost, gcc size) rows."""
+    costs, gccs = trajectory
+    return list(zip(costs.tolist(), gccs.tolist()))
+
+
+def trajectory_arrays(rows: list[tuple[float, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(cumulative cost, gcc size) rows as a trajectory's two arrays."""
+    return np.array([c for c, _ in rows], dtype=np.float64), np.array([g for _, g in rows], dtype=np.int64)

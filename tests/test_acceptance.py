@@ -53,6 +53,7 @@ from oracles import (
     largest_component,
     members,
     subgraph,
+    trajectory_rows,
 )
 
 
@@ -340,7 +341,10 @@ def test_c08_budget_variability_sign_balance():
         high = dismantle(graph, costs, target, seed=0, iter_multiplier=500)
         grid = np.unique(
             np.concatenate(
-                [[c for c, _ in low.trajectory], [c for c, _ in high.trajectory]]
+                [
+                    [c for c, _ in trajectory_rows(low.trajectory)],
+                    [c for c, _ in trajectory_rows(high.trajectory)],
+                ]
             )
         )
         differences = gcc_difference_histogram(low.trajectory, high.trajectory, grid).differences

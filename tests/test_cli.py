@@ -483,12 +483,39 @@ class TestBenchCommand:
         assert run(["bench", "--input", ring_graph, "--target-size", "2", "--out", out]) == 0
         assert (out / "bench.json").is_file()
 
+    @pytest.mark.parametrize("value", ["0", "lots"])
+    def test_invalid_workers_environment_is_not_read(self, ring_graph, tmp_path, monkeypatch, value):
+        monkeypatch.setenv(WORKERS_ENV, value)
+        out = tmp_path / "out"
+        assert run(["bench", "--input", ring_graph, "--target-size", "2", "--out", out]) == 0
+        assert (out / "bench.json").is_file()
+
 
 class TestStatsCommand:
     def test_prints_summary(self, path_graph, capsys):
         assert run(["stats", "--input", path_graph]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats == {"n": 3, "m": 2, "degree_min": 1, "degree_max": 2}
+
+    @pytest.mark.parametrize(
+        "flag, key, value",
+        [("--ensemble", "ensemble", 5), ("--workers", "workers", 9), ("--cost", "cost", "degree"),
+         ("--target-size", "target_size", 2), ("--reinsert", "reinsert", "off")],
+    )
+    def test_run_settings_are_usage_errors(self, path_graph, tmp_path, capsys, flag, key, value):
+        # stats only parses; a solver setting would be ignored
+        assert run(["stats", "--input", path_graph, flag, value]) == 2
+        assert flag in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run(["stats", "--input", path_graph, "--config", cfg]) == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "lots"])
+    def test_invalid_workers_environment_is_not_read(self, path_graph, monkeypatch, capsys, value):
+        monkeypatch.setenv(WORKERS_ENV, value)
+        assert run(["stats", "--input", path_graph]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 3
 
     def test_byte_order_mark_is_not_a_node(self, tmp_path, capsys):
         bom = tmp_path / "bom.txt"

@@ -44,7 +44,7 @@ from netdismantle.serialize import solution_json, trajectory_csv
 from netdismantle.spectral import _UNDERFLOW, _UnderflowCollapse
 
 from conftest import BUNDLED, heavy_tailed_graph, load_bundled, random_connected_graph, random_graph
-from oracles import bfs_gcc_size, brute_force_min_dismantling, largest_component, members, subgraph
+from oracles import bfs_gcc_size, brute_force_min_dismantling, largest_component, members, subgraph, trajectory_rows
 from oracles import edges as oracle_edges
 
 
@@ -154,7 +154,7 @@ class TestDismantle:
         sol = dismantle(g, unit(g), DismantlingTarget.absolute(2))
         assert sol.removed == frozenset()
         assert sol.removal_order == []
-        assert sol.trajectory == [(0.0, 2)]
+        assert trajectory_rows(sol.trajectory) == [(0.0, 2)]
         assert sol.metadata.bisections == 0
 
     def test_two_node_component_splits_without_spectral_work(self):
@@ -168,7 +168,7 @@ class TestDismantle:
         a = dismantle(g, unit(g), DismantlingTarget.absolute(3), seed=11)
         b = dismantle(g, unit(g), DismantlingTarget.absolute(3), seed=11)
         assert a.removal_order == b.removal_order
-        assert a.trajectory == b.trajectory
+        assert trajectory_rows(a.trajectory) == trajectory_rows(b.trajectory)
 
     def test_metadata_records_the_run(self):
         g = random_connected_graph(3, 40)
@@ -194,13 +194,25 @@ class TestDismantle:
         for seed in range(4):
             g = random_connected_graph(seed, 50)
             sol = dismantle(g, unit(g), DismantlingTarget.absolute(2), seed=seed)
-            assert sol.trajectory[0] == (0.0, 50)
-            assert len(sol.trajectory) == len(sol.removal_order) + 1
-            costs = [c for c, _ in sol.trajectory]
-            sizes = [s for _, s in sol.trajectory]
+            rows = trajectory_rows(sol.trajectory)
+            assert rows[0] == (0.0, 50)
+            assert len(rows) == len(sol.removal_order) + 1
+            costs = [c for c, _ in rows]
+            sizes = [s for _, s in rows]
             assert all(a < b for a, b in zip(costs, costs[1:]))
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
             assert sizes[-1] <= 2
+
+    def test_trajectory_is_a_float_and_an_int_array(self):
+        g = random_connected_graph(6, 50)
+        target = DismantlingTarget.absolute(3)
+        first = dismantle(g, CostVector.degree(g), target, seed=2)
+        repaired = reinsert(g, CostVector.degree(g), target, first)
+        empty = dismantle(g, unit(g), DismantlingTarget.absolute(g.n))
+        for sol in (first, repaired, empty):
+            costs, sizes = sol.trajectory
+            assert (costs.dtype, sizes.dtype) == (np.float64, np.int64)
+            assert len(costs) == len(sizes) == sol.removed_count + 1
 
     def test_multiplier_scales_total_power_work(self):
         # per-bisection budgets scale exactly by the multiplier; bisection
@@ -417,7 +429,7 @@ def assert_same_reinsertion(graph, costs, target, solution):
     mine = reinsert(graph, costs, target, solution)
     ref = reference_reinsert(graph, costs, target, solution)
     assert mine.removal_order == ref.removal_order
-    assert mine.trajectory == ref.trajectory
+    assert trajectory_rows(mine.trajectory) == trajectory_rows(ref.trajectory)
     assert mine.total_cost == ref.total_cost
 
 
@@ -542,7 +554,7 @@ class TestLazyReplay:
         g = random_connected_graph(4, 60)
         sol = dismantle(g, unit(g), DismantlingTarget.absolute(4), seed=1)
         assert replay_calls == []
-        assert sol.trajectory == sol.trajectory
+        assert trajectory_rows(sol.trajectory) == trajectory_rows(sol.trajectory)
         assert len(replay_calls) == 1
 
     def test_lazy_fields_equal_an_eager_replay(self):
@@ -553,7 +565,7 @@ class TestLazyReplay:
         after, initial = replay_gcc_sizes(g, order)
         node_costs = costs.w[order].tolist()
         assert sol.removal_order == list(zip(order.tolist(), node_costs, after.tolist()))
-        assert sol.trajectory == list(
+        assert trajectory_rows(sol.trajectory) == list(
             zip(np.concatenate([[0.0], np.cumsum(node_costs)]).tolist(), [initial, *after.tolist()])
         )
 
@@ -584,7 +596,7 @@ class TestLazyReplay:
             assert len(data) <= self.PICKLE_BYTES_PER_ROW * sol.removed_count + self.PICKLE_HEADER_BYTES
             back = pickle.loads(data)
             assert back.removal_order == sol.removal_order
-            assert back.trajectory == sol.trajectory
+            assert trajectory_rows(back.trajectory) == trajectory_rows(sol.trajectory)
             assert back.removed == sol.removed
             assert back.total_cost == sol.total_cost
 
@@ -599,7 +611,7 @@ class TestLazyReplay:
         assert cost_of(back, costs, g).hex() == cost_of(sol, costs, g).hex()
         assert list(back.removed) == list(sol.removed)
         assert back.removal_order == sol.removal_order
-        assert back.trajectory == sol.trajectory
+        assert trajectory_rows(back.trajectory) == trajectory_rows(sol.trajectory)
         assert back.final_gcc == sol.final_gcc
         assert back.removed_count == sol.removed_count == len(sol.removal_order)
 

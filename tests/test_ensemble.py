@@ -28,6 +28,7 @@ from netdismantle.errors import EnsembleMemberError
 from netdismantle.rng import MASK64
 
 from conftest import load_bundled, random_connected_graph
+from oracles import trajectory_arrays, trajectory_rows
 
 
 def fake_member(index, cost, gcc):
@@ -258,8 +259,9 @@ class TestVariabilityStudy:
         ]
         for members, trajectories, histograms in handed:
             low, high = (ensembles[d].members[members[0].index] for d in (1, 5))
-            assert trajectories == [low.solution.trajectory, high.solution.trajectory]
-            grid = np.unique([c for c, _ in trajectories[0] + trajectories[1]])
+            curves = [trajectory_rows(t) for t in trajectories]
+            assert curves == [trajectory_rows(low.solution.trajectory), trajectory_rows(high.solution.trajectory)]
+            grid = np.unique([c for c, _ in curves[0] + curves[1]])
             expected = gcc_difference_histogram(trajectories[0], trajectories[1], grid)
             assert len(histograms) == 1
             assert histograms[0].differences.tolist() == expected.differences.tolist()
@@ -272,14 +274,14 @@ class TestVariabilityStudy:
             assert (row["multiplier"], row["mean_cost"]) == (d, float(np.mean(costs)))
         assert summary["comparisons"][0]["grid_points"] == sum(len(h[0].differences) for _, _, h in handed)
         for d in (1, 5):
-            trajectories = [m.solution.trajectory for m in ensembles[d].members]
+            trajectories = [trajectory_rows(m.solution.trajectory) for m in ensembles[d].members]
             same = all(t == trajectories[0] for t in trajectories)
             assert settling["settled_by_multiplier"][str(d)] == same
 
     def test_settling_threshold_needs_every_larger_multiplier_settled(self, monkeypatch):
         # a fake trajectory per (seed, multiplier): seeds agree only at D=2 and D=4
         def fake_member(graph, costs, target, config, index, multiplier):
-            curve = [(0.0, 40), (1.0, 3 if multiplier in (2, 4) else 3 + index)]
+            curve = trajectory_arrays([(0.0, 40), (1.0, 3 if multiplier in (2, 4) else 3 + index)])
             solution = SimpleNamespace(trajectory=curve)
             return MemberResult(index, index, 1.0, 3, solution, multiplier=multiplier)
 
@@ -355,15 +357,15 @@ class TestVariabilityStudy:
 
 class TestDifferenceHistogram:
     def test_identical_curves_are_all_zero(self):
-        curve = [(0.0, 10), (1.0, 6), (2.0, 3)]
+        curve = trajectory_arrays([(0.0, 10), (1.0, 6), (2.0, 3)])
         hist = gcc_difference_histogram(curve, curve, np.array([0.0, 0.5, 1.0, 2.0]))
         assert float((hist.differences == 0).mean()) == 1.0
         assert hist.values.tolist() == [0]
         assert hist.counts.tolist() == [4]
 
     def test_uniform_offset_lands_in_one_bin(self):
-        a = [(0.0, 20), (1.0, 15)]
-        b = [(0.0, 10), (1.0, 5)]
+        a = trajectory_arrays([(0.0, 20), (1.0, 15)])
+        b = trajectory_arrays([(0.0, 10), (1.0, 5)])
         hist = gcc_difference_histogram(a, b, np.array([0.0, 0.5, 1.0]))
         assert hist.values.tolist() == [10]
         assert hist.counts.tolist() == [3]
@@ -373,25 +375,31 @@ class TestDifferenceHistogram:
     def test_step_semantics_right_continuous(self):
         # between removals the curve holds the last gcc; exactly at a
         # removal's cumulative cost the new gcc applies
-        a = [(0.0, 10), (2.0, 4)]
-        b = [(0.0, 10), (1.0, 4)]
+        a = trajectory_arrays([(0.0, 10), (2.0, 4)])
+        b = trajectory_arrays([(0.0, 10), (1.0, 4)])
         hist = gcc_difference_histogram(a, b, np.array([0.5, 1.0, 1.5, 2.0]))
         assert hist.differences.tolist() == [0, 6, 6, 0]
 
     def test_grid_below_start_rejected(self):
-        a = [(0.0, 10)]
-        b = [(1.0, 10)]
+        a = trajectory_arrays([(0.0, 10)])
+        b = trajectory_arrays([(1.0, 10)])
         with pytest.raises(ValueError, match="below the trajectory start"):
             gcc_difference_histogram(a, b, np.array([0.5]))
 
     def test_unsorted_trajectory_rejected(self):
-        bad = [(0.0, 10), (2.0, 8), (1.0, 6)]
-        good = [(0.0, 10)]
+        bad = trajectory_arrays([(0.0, 10), (2.0, 8), (1.0, 6)])
+        good = trajectory_arrays([(0.0, 10)])
         with pytest.raises(ValueError, match="non-decreasing"):
             gcc_difference_histogram(bad, good, np.array([0.0]))
 
+    def test_mismatched_array_lengths_rejected(self):
+        costs, gccs = trajectory_arrays([(0.0, 10), (1.0, 6)])
+        good = trajectory_arrays([(0.0, 10)])
+        with pytest.raises(ValueError, match="differ in length"):
+            gcc_difference_histogram((costs, gccs[:1]), good, np.array([0.0]))
+
     def test_empty_grid_rejected(self):
-        curve = [(0.0, 5)]
+        curve = trajectory_arrays([(0.0, 5)])
         with pytest.raises(ValueError, match="nonempty"):
             gcc_difference_histogram(curve, curve, np.array([]))
 
@@ -401,7 +409,7 @@ class TestDifferenceHistogram:
         target = DismantlingTarget.absolute(3)
         sol_a = dismantle(g, costs, target, seed=0)
         sol_b = dismantle(g, costs, target, seed=1)
-        top = min(sol_a.trajectory[-1][0], sol_b.trajectory[-1][0])
+        top = min(trajectory_rows(sol_a.trajectory)[-1][0], trajectory_rows(sol_b.trajectory)[-1][0])
         grid = np.linspace(0.0, top, 32)
         hist = gcc_difference_histogram(sol_a.trajectory, sol_b.trajectory, grid)
         d = hist.differences

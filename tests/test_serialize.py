@@ -11,6 +11,7 @@ from netdismantle import CostVector, DismantlingTarget, dismantle
 from netdismantle.serialize import format_float, solution_json, to_json, trajectory_csv
 
 from conftest import random_connected_graph
+from oracles import trajectory_arrays
 
 METADATA_FIELDS = (
     "seed", "prng", "iter_multiplier", "fine_tuning", "reinserted",
@@ -130,9 +131,9 @@ class TestSolutionJson:
 
 class TestTrajectoryCsv:
     def test_schema_and_rows(self):
-        text = trajectory_csv([(0.0, 10), (1.5, 4)])
+        text = trajectory_csv(trajectory_arrays([(0.0, 10), (1.5, 4)]))
         assert text == "cumulative_cost,gcc_size\n0,10\n1.5,4\n"
 
     def test_full_precision_costs(self):
-        text = trajectory_csv([(1 / 3, 2)])
+        text = trajectory_csv(trajectory_arrays([(1 / 3, 2)]))
         assert "0.33333333333333331,2" in text
