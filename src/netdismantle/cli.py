@@ -108,9 +108,10 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file with defaults for any flag")
 
 
-def _resolve_settings(args: argparse.Namespace, unused: tuple[str, ...] = ()) -> RunSettings:
-    """Flags that were given win; config file fills the rest; then
-    defaults.  Booleans arrive as on/off strings from the flags.  A
+def _given_settings(args: argparse.Namespace, unused: tuple[str, ...] = ()) -> dict:
+    """The settings that were given, for RunSettings to check and to fill
+    with defaults: flags that were given win, and the config file fills
+    the rest.  Booleans arrive as on/off strings from the flags.  A
     setting named in unused, which the command has no use for, is a usage
     error whether a flag or the config file gives it."""
     config: dict = {}
@@ -143,7 +144,7 @@ def _resolve_settings(args: argparse.Namespace, unused: tuple[str, ...] = ()) ->
                 raise _UsageError(f"{WORKERS_ENV} must be an integer") from exc
     if not merged.get("input"):
         raise _UsageError("--input is required")
-    return RunSettings(**merged)
+    return merged
 
 
 def _load_graph(path: str) -> Graph:
@@ -159,7 +160,7 @@ def _load_graph(path: str) -> Graph:
 def _write(directory: Path, name: str, content: str) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / name
-    path.write_text(content)
+    path.write_text(content, encoding="utf-8")
     return path
 
 
@@ -178,7 +179,7 @@ def _manifest(command: str, settings: RunSettings, graph: Graph, results: dict) 
 
 
 def cmd_dismantle(args: argparse.Namespace) -> int:
-    settings = _resolve_settings(args)
+    settings = RunSettings(**_given_settings(args))
     graph = _load_graph(settings.input)
     costs = CostVector.for_mode(graph, settings.cost)
     target = settings.target_for(graph)
@@ -199,6 +200,7 @@ def cmd_dismantle(args: argparse.Namespace) -> int:
     _write(out_dir, "manifest.json", to_json(_manifest("dismantle", settings, graph, results)))
     _write(out_dir, "solution.json", solution_json(best, best_cost))
     _write(out_dir, "trajectory.csv", trajectory_csv(best.trajectory))
+    _write(out_dir, "node_labels.txt", "".join(f"{label}\n" for label in graph.labels))
     if settings.ensemble > 1:
         _write(out_dir, "ensemble.json", to_json(report_to_dict(report)))
     print(
@@ -211,7 +213,7 @@ def cmd_dismantle(args: argparse.Namespace) -> int:
 
 
 def cmd_variability(args: argparse.Namespace) -> int:
-    settings = _resolve_settings(args, unused=("ensemble", "iter_multiplier"))
+    settings = RunSettings(**_given_settings(args, unused=("ensemble", "iter_multiplier")))
     try:
         multipliers = sorted({int(tok) for tok in args.multipliers.split(",") if tok.strip()})
     except ValueError as exc:
@@ -262,7 +264,7 @@ def cmd_variability(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    settings = _resolve_settings(args, unused=("ensemble", "workers"))
+    settings = RunSettings(**_given_settings(args, unused=("ensemble", "workers")))
     started = time.perf_counter()
     graph = _load_graph(settings.input)
     parse_seconds = time.perf_counter() - started
@@ -291,11 +293,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     unused = tuple(f.name for f in fields(RunSettings) if f.name not in ("input", "out"))
-    settings = _resolve_settings(args, unused)
+    given = _given_settings(args, unused)
+    settings = RunSettings(**given)
     graph = _load_graph(settings.input)
     text = to_json(graph.stats())
     print(text, end="")
-    if getattr(args, "out", None):
+    if "out" in given:
         _write(Path(settings.out), "graph_stats.json", text)
     return 0
 

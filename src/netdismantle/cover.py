@@ -41,25 +41,24 @@ def weighted_vertex_cover(cut: np.ndarray, weight: np.ndarray) -> CoverResult:
 
     The edges are pairs of ids indexing weight, the node costs.  Every
     endpoint starts with its full cost as residual; each edge transfers
-    eps = min of the two residuals from both.  Nodes whose residual
-    reaches zero (including zero-cost nodes) form the cover.  Its cost
-    is at most twice the optimum.
+    eps = min of the two residuals from both.  Endpoints whose residual
+    reaches zero (including zero-cost ones) form the cover, in ascending
+    order.  Its cost is at most twice the optimum.
     """
     cut = np.asarray(cut, dtype=np.int64).reshape(-1, 2)
     weight = np.asarray(weight, dtype=np.float64)
     if (weight < 0).any():
         raise InvalidCostError("cost vector has negative entries")
-    # the sweep runs on the endpoints' ranks, lists of the cut's nodes only
-    ends, pairs = np.unique(cut, return_inverse=True)
-    pairs = pairs.reshape(-1, 2)
-    residual = weight[ends].tolist()
-    for u, v in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()):
+    residual = weight.tolist()
+    for u, v in zip(cut[:, 0].tolist(), cut[:, 1].tolist()):
         ru, rv = residual[u], residual[v]
         if ru > 0.0 and rv > 0.0:
             eps = min(ru, rv)
             residual[u] = ru - eps
             residual[v] = rv - eps
-    return CoverResult(cover=ends[np.array(residual) == 0.0])
+    on_cut = np.zeros(len(weight), dtype=bool)
+    on_cut[cut] = True
+    return CoverResult(cover=np.flatnonzero(on_cut & (np.array(residual) == 0.0)))
 
 
 def prune_redundant(result: CoverResult, cut: np.ndarray, weight: np.ndarray) -> CoverResult:

@@ -122,7 +122,6 @@ class DismantlingSolution:
 
     @property
     def removed(self) -> frozenset[int]:
-        # inserted in deletion order, so cost_of sums in one fixed order
         return frozenset(self._order.tolist())
 
     @property
@@ -349,12 +348,12 @@ def reinsert(
     """
     t0 = time.perf_counter()
     order = solution._order
-    removed = np.sort(order)
     base = full_mask(graph.n)
-    base[removed] = False
+    base[order] = False
     parent, size, gcc = _forest(graph, base)
-    nodes, merged, roots = _roots_around(graph, removed, base, parent, size, target.c)
-    del base, removed
+    # neither the heap keys nor a node's root list depend on the order
+    nodes, merged, roots = _roots_around(graph, order, base, parent, size, target.c)
+    del base
     heap = list(zip(merged, (-costs.w[nodes]).tolist(), nodes.tolist()))
     del nodes, merged
     heapq.heapify(heap)
@@ -404,11 +403,9 @@ def reinsert(
 
 def cost_of(solution: DismantlingSolution, costs: CostVector, graph: Graph) -> int | float:
     """Reported cost of a solution: node count under unit costs, removed
-    degree mass as a fraction of total degree mass under degree costs."""
+    degree mass as a fraction of total degree mass under degree costs.
+    Degrees are integers, so both sums are exact in any order."""
     if costs.mode is CostMode.UNIT:
         return solution.removed_count
     total = costs.total()
-    if total == 0.0:
-        return 0.0
-    removed = np.fromiter(solution.removed, dtype=np.int64, count=solution.removed_count)
-    return float(costs.w[removed].sum() / total) if len(removed) else 0.0
+    return solution.total_cost / total if total else 0.0

@@ -369,7 +369,7 @@ class Subgraph:
 
     def pieces(self, kept: np.ndarray, c: int) -> list["Subgraph"]:
         """The connected pieces of more than c nodes among the kept local ids."""
-        return self.split(_component_labels(self.indptr, self.indices, kept), c)
+        return self.split(_component_labels(self.rows, self.indices, kept), c)
 
     def split(self, labels: np.ndarray, c: int) -> list["Subgraph"]:
         """The subgraphs on the groups of more than c local ids sharing a
@@ -415,10 +415,10 @@ def _adjacency_flat(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray):
     return np.repeat(np.arange(len(nodes)), counts), indices[src]
 
 
-def _component_labels(indptr: np.ndarray, indices: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Component labels of the kept ids of a CSR graph, -1 for the rest."""
+def _component_labels(rows: np.ndarray, indices: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Component labels of the kept ids of a CSR graph, given as the row
+    and the column of each entry, -1 for the rest."""
     k = len(kept)
-    rows = np.repeat(np.arange(k, dtype=np.int32), np.diff(indptr))
     # one direction of each kept edge is enough for undirected labels
     entries = (rows < indices) & kept[rows] & kept[indices]
     rows = rows[entries]
@@ -438,7 +438,8 @@ def components(graph: Graph, mask: NodeMask) -> ComponentDecomposition:
     act_idx = np.flatnonzero(active)
     # act_idx ascends, so the first occurrence of each label is its
     # smallest member, which becomes the canonical component id
-    labels = _component_labels(graph.indptr, graph.indices, active)[act_idx]
+    rows = np.repeat(np.arange(graph.n, dtype=graph.indices.dtype), graph.degree)
+    labels = _component_labels(rows, graph.indices, active)[act_idx]
     _, first, inverse, counts = np.unique(labels, return_index=True, return_inverse=True, return_counts=True)
     canon = act_idx[first]
     component_id = np.full(graph.n, -1, dtype=np.int64)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import netdismantle
+from netdismantle import parse_edge_list
 from netdismantle.cli import WORKERS_ENV, main
 
 from conftest import DATA_DIR
@@ -34,6 +35,15 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def run_in_c_locale(argv):
+    """The CLI in a child process under the C locale without UTF-8 mode,
+    where the locale's encoding is ASCII."""
+    src = str(Path(netdismantle.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    code = "import sys; from netdismantle.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env, capture_output=True, timeout=60)
+
+
 class TestDismantleCommand:
     def test_writes_all_artifacts(self, path_graph, tmp_path, capsys):
         out = tmp_path / "out"
@@ -55,6 +65,23 @@ class TestDismantleCommand:
         assert solution["metadata"]["reinserted"] is True
         assert trajectory.splitlines()[0] == "cumulative_cost,gcc_size"
         assert not (out / "ensemble.json").exists()
+
+    def test_node_labels_name_the_removed_nodes(self, tmp_path):
+        source = DATA_DIR / "lesmis.txt"
+        out = tmp_path / "out"
+        assert run(["dismantle", "--input", source, "--cost", "degree", "--target-fraction", "0.1", "--out", out]) == 0
+        labels = parse_edge_list(source.read_text(encoding="utf-8")).labels
+        lines = (out / "node_labels.txt").read_text(encoding="utf-8").split("\n")
+        assert lines == [*labels, ""]
+        rows = json.loads((out / "solution.json").read_text())["removal_order"]
+        assert rows and all(0 <= row["node"] < len(labels) for row in rows)
+
+    def test_node_labels_are_utf8_whatever_the_locale(self, tmp_path):
+        f = tmp_path / "accents.txt"
+        f.write_bytes("é ü\nü 𝔘\n".encode())
+        proc = run_in_c_locale(["dismantle", "--input", f, "--out", tmp_path / "out"])
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "node_labels.txt").read_bytes() == "é\nü\n𝔘\n".encode()
 
     def test_ensemble_report_written_for_k_above_one(self, ring_graph, tmp_path):
         out = tmp_path / "out"
@@ -526,13 +553,7 @@ class TestStatsCommand:
     def test_input_decodes_as_utf8_whatever_the_locale(self, tmp_path):
         f = tmp_path / "accents.txt"
         f.write_bytes("é ü\nü 𝔘\n".encode())
-        src = str(Path(netdismantle.__file__).resolve().parents[1])
-        # the C locale without UTF-8 mode: the locale's encoding is ASCII
-        env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
-        code = "import sys; from netdismantle.cli import main; sys.exit(main(sys.argv[1:]))"
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "stats", "--input", str(f)], env=env, capture_output=True, text=True, timeout=60
-        )
+        proc = run_in_c_locale(["stats", "--input", f])
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["n"] == 3
 
@@ -541,3 +562,13 @@ class TestStatsCommand:
         assert run(["stats", "--input", path_graph, "--out", out]) == 0
         stats = json.loads((out / "graph_stats.json").read_text())
         assert stats["n"] == 3
+
+    def test_writes_file_when_config_gives_out(self, path_graph, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["stats", "--input", path_graph]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["path.txt"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "out")}))
+        capsys.readouterr()
+        assert run(["stats", "--input", path_graph, "--config", cfg]) == 0
+        assert (tmp_path / "out" / "graph_stats.json").read_text() == capsys.readouterr().out

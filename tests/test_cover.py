@@ -105,6 +105,13 @@ class TestSweep:
         assert result.cover.tolist() == [0]
         assert float(costs.w[result.cover].sum()) == 0.0
 
+    def test_zero_cost_id_off_the_cut_stays_out(self):
+        # weight runs past the ids the cut uses; ids 2 and 4 cost nothing
+        # but no cut edge touches them, so they are no part of the cover
+        w = np.array([1.0, 2.0, 0.0, 1.0, 0.0, 3.0, 0.0])
+        result = weighted_vertex_cover(np.array([[0, 1], [1, 3]]), w)
+        assert result.cover.tolist() == [0, 1, 3]
+
     def test_empty_cut(self):
         costs = unit_costs(1)
         result = weighted_vertex_cover(np.empty((0, 2), dtype=np.int64), costs.w)

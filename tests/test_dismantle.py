@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netdismantle import (
@@ -606,8 +606,7 @@ class TestLazyReplay:
         target = DismantlingTarget.from_fraction(g.n)
         sol = reinsert(g, costs, target, dismantle(g, costs, target, seed=3))
         back = pickle.loads(pickle.dumps(sol))
-        # cost_of sums in the removed set's iteration order, so equal bits
-        # mean the set was rebuilt in the same insertion order
+        # the reported cost keeps its bits, and the set its insertion order
         assert cost_of(back, costs, g).hex() == cost_of(sol, costs, g).hex()
         assert list(back.removed) == list(sol.removed)
         assert back.removal_order == sol.removal_order
@@ -644,6 +643,18 @@ class TestReportedCost:
         value = cost_of(sol, costs, g)
         assert value == pytest.approx(len(sol.removed) * 3 / 12)
         assert 0.0 <= value <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 80), p=st.floats(0.02, 0.3), c=st.integers(1, 12))
+    def test_degree_cost_is_the_removed_mass_bit_for_bit(self, seed, n, p, c):
+        g = random_graph(seed, n, p)
+        assume(g.m > 0)
+        costs = CostVector.degree(g)
+        target = DismantlingTarget.absolute(c)
+        first = dismantle(g, costs, target, seed=seed)
+        for sol in (first, reinsert(g, costs, target, first)):
+            expected = float(costs.w[sorted(sol.removed)].sum() / costs.total())
+            assert cost_of(sol, costs, g).hex() == expected.hex()
 
     def test_empty_solution_costs_nothing(self):
         g = Graph.from_edges([(0, 1)])
