@@ -128,11 +128,8 @@ _SPACE = np.isin(np.arange(256), list("".join(_SPACES).encode()))
 _BREAK = np.isin(np.arange(256), [ord(c) for c in _BREAKS if c.isascii()])
 _SPAN = np.zeros(256, dtype=np.uint8)
 _SPAN[[c.encode()[0] for c in _SPACES]] = [len(c.encode()) for c in _SPACES]
-# indexed by the byte width w < 8 of a token that packs into a key: the
-# mask of its bytes in a little-endian uint64, and the bits just above
-# them that tag it with its width
+# indexed by a byte width w < 8: the mask of w bytes in a little-endian uint64
 _LOW_BYTES = np.array([(1 << 8 * w) - 1 for w in range(8)], dtype=np.uint64)
-_WIDTH_TAG = np.array([w << 8 * w for w in range(8)], dtype=np.uint64)
 
 
 def _index_dtype(size: int) -> type:
@@ -150,19 +147,19 @@ def _whitespace(codes: np.ndarray, ascii: bool) -> tuple[np.ndarray, np.ndarray]
         # _SPAN gives a width above 1; where a whole sequence is
         # whitespace, each of its bytes is
         lead = np.flatnonzero((codes == 0xC2) | (codes - np.uint8(0xE1) <= 2))
-        width = np.take(_SPAN, np.take(codes, lead))
-        keys = _words(codes, lead) & np.take(_LOW_BYTES, width)
+        width = _SPAN[codes[lead]]
+        keys = _words(codes, lead) & _LOW_BYTES[width]
         hit = np.isin(keys, _SPACE_KEYS, kind="sort")
         for offset in range(_SPAN.max()):
             near[lead[hit & (width > offset)] + offset] = True
         wide = lead[np.isin(keys, _BREAK_KEYS, kind="sort")]
     at = np.flatnonzero(near)
     del near
-    chars = np.take(codes, at)
-    space = np.take(_SPACE, chars)
+    chars = codes[at]
+    space = _SPACE[chars]
     if not space.all():
         at, chars = at[space], chars[space]
-    is_break = np.take(_BREAK, chars)
+    is_break = _BREAK[chars]
     # "\r\n" is one break, at the "\r"
     cr = np.flatnonzero(chars[:-1] == 13)
     lf = cr + 1
@@ -196,10 +193,10 @@ def _intern(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple
     """Ids in order of first appearance for the tokens codes[s : s + l].
 
     Returns (the id of every token, the index of each id's first token).
-    A token of w bytes packs into one uint64 key, its width over its
-    bytes over its index, when 8w + 3 + bit_length(T - 1) <= 64 for T
-    tokens; one sort of the keys groups equal tokens, and each group's
-    first key holds its first index.  Wider tokens are compared one
+    A token of w bytes packs into one uint64 key, its bytes over its
+    3-bit width over its index, when 8w + 3 + bit_length(T - 1) <= 64
+    for T tokens; one sort of the keys groups equal tokens, and each
+    group's first key holds its first index.  Wider tokens are compared one
     width at a time, so zero-padding "a" cannot make it equal "a\\x00".
     """
     count = len(starts)
@@ -211,21 +208,36 @@ def _intern(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple
     firsts = []
     packed = None if packs.all() else np.flatnonzero(packs)
     if packed is None or len(packed):
-        at, width = (starts, lengths) if packed is None else (starts[packed], lengths[packed])
-        keys = _words(codes, at)
-        keys &= np.take(_LOW_BYTES, width)
-        keys |= np.take(_WIDTH_TAG, width)
-        del at, width
+        keys = _words(codes, starts if packed is None else starts[packed])
+        width = (lengths if packed is None else lengths[packed]).astype(np.uint8)
+        # shifting the bytes to the top and back down keeps only them;
+        # the way down leaves 3 bits below them for the width
+        shift = width << 3
+        np.subtract(64, shift, out=shift)
+        keys <<= shift
+        shift -= 3
+        keys >>= shift
+        del shift
+        keys |= width
+        del width
         keys <<= np.uint64(bits)
-        keys |= np.arange(count, dtype=np.uint64) if packed is None else packed.astype(np.uint64)
+        if packed is None:
+            for lo in range(0, count, 1 << 16):
+                keys[lo : lo + (1 << 16)] |= np.arange(lo, min(lo + (1 << 16), count), dtype=np.uint64)
+        else:
+            # flatnonzero's offsets are nonnegative, so read as uint64 as is
+            keys |= packed.view(np.uint64)
         keys.sort()
-        tokens = (keys & np.uint64((1 << bits) - 1)).astype(index)
+        tokens = np.empty(len(keys), dtype=index)
+        np.bitwise_and(keys, np.uint64((1 << bits) - 1), out=tokens, casting="unsafe")
         keys >>= np.uint64(bits)
         new = _run_starts(keys)
         del keys
         firsts.append(tokens[new])
-        group[tokens] = np.cumsum(new, dtype=index) - 1
-        del tokens, new
+        ids = np.cumsum(new, dtype=index)
+        ids -= 1
+        group[tokens] = ids
+        del tokens, new, ids
     if packed is not None:
         wide = np.flatnonzero(~packs)
         wide = wide[np.argsort(lengths[wide], kind="stable")]
@@ -245,7 +257,7 @@ def _intern(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple
     is_first[firsts] = True
     rank = np.cumsum(is_first, dtype=index)
     rank -= 1
-    return np.take(np.take(rank, firsts), group), np.flatnonzero(is_first)
+    return rank[firsts][group], np.flatnonzero(is_first)
 
 
 def _edge_tokens(codes: np.ndarray, ascii: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -260,24 +272,29 @@ def _edge_tokens(codes: np.ndarray, ascii: bool) -> tuple[np.ndarray, np.ndarray
     edge[0], edge[-1] = -1, len(codes)
     edge[1:-1] = at
     del at
+    span = np.diff(edge)
+    gap = span > 1
+    lengths = span[gap]
+    del span
+    lengths -= 1
+    starts = edge[:-1][gap]
+    del edge
+    starts += 1
     # lines[i] counts the breaks up to edge[i]
-    lines = np.zeros(len(edge) - 1, dtype=index)
+    lines = np.zeros(len(gap), dtype=index)
     np.cumsum(is_break, out=lines[1:])
     del is_break
-    span = np.diff(edge)
-    gap = np.flatnonzero(span > 1)
-    starts = np.take(edge, gap) + 1
-    lengths = np.take(span, gap) - 1
-    line = np.take(lines, gap)
-    del edge, lines, span, gap
+    line = lines[gap]
+    del lines, gap
     first = np.ones(len(line) + 1, dtype=bool)
     np.not_equal(line[1:], line[:-1], out=first[1:-1])
     heads = np.flatnonzero(first[:-1])
-    lead = np.take(codes, np.take(starts, heads))
+    lead = codes[starts[heads]]
     comment = (lead == ord("%")) | (lead == ord("#"))
-    short = heads[~comment & np.take(first[1:], heads)]
+    short = heads[~comment & first[1:][heads]]
     if len(short):
         raise ParseError("expected at least two tokens", line_number=int(line[short[0]]) + 1)
+    del line
     # the first two tokens of each line, but none of a comment's
     keep = first[:-1].copy()
     keep[1:] |= first[:-2]
@@ -296,7 +313,9 @@ def _labels(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[
     # each output position's offset from its text position
     shift = np.repeat(starts - (seps - lengths), lengths + 1)
     shift += np.arange(len(shift), dtype=shift.dtype)
-    out = np.take(codes, shift, mode="clip")
+    # the last separator may sit one past the text
+    np.minimum(shift, len(codes) - 1, out=shift)
+    out = codes[shift]
     del shift
     out[seps] = ord(" ")
     return out[:-1].tobytes().decode("utf-8", "surrogatepass").split(" ")
@@ -326,9 +345,11 @@ def parse_edge_list(text: str) -> Graph:
     pairs = ids.reshape(-1, 2)
     if not (pairs[:, 0] != pairs[:, 1]).any():
         raise ParseError("no edges in input")
-    labels = _labels(codes, starts[first], lengths[first])
+    starts, lengths = starts[first], lengths[first]
+    del first
+    labels = _labels(codes, starts, lengths)
     # the text's arrays go before the build allocates its own
-    del data, codes, starts, lengths, first
+    del data, codes, starts, lengths
     return Graph.from_edges(pairs, n=len(labels), labels=labels)
 
 

@@ -337,11 +337,11 @@ def test_parse_peak_memory_of_non_ascii_labels():
     assert _traced_peak(parse_edge_list, wide) <= 1.15 * _traced_peak(parse_edge_list, narrow)
 
 
-# the tracemalloc peak per character of the text below that the parser
-# with a per-character scan and per-width argsorts reached (16.03 bytes
-# under numpy 2.4); the per-line reference parser peaks about 1.7 times
-# higher, so comparing with it would miss a rise of that size
-PARSE_PEAK_BYTES_PER_CHAR = 16.04
+# the tracemalloc peak per character of the text below, 5.85 bytes under
+# numpy 2.4, plus 4%; the parser that let np.take copy its int32 and
+# uint8 indices to intp peaked at 7.80 bytes, and the per-line reference
+# parser peaks higher still, so comparing with it would miss such a rise
+PARSE_PEAK_BYTES_PER_CHAR = 6.10
 
 
 def test_parse_peak_memory_per_character():
