@@ -14,9 +14,7 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.sparse.csgraph import connected_components as _sp_components
 
 from .errors import ParseError
 
@@ -89,26 +87,26 @@ class Graph:
             labels = tuple(labels)
             if len(labels) != n:
                 raise ValueError("labels length must equal n")
-        # one int64 key per pair, lo * base + hi, sorts as (lo, hi) does;
-        # the keys of both directions, sorted, are the CSR rows in order.
-        # int32 ids times a Python int stay int32, so the keys start int64
-        base = max(n_seen, 1)
+        # one int64 key per pair, lo over the bits of hi, sorts as (lo, hi)
+        # does; the keys of both directions, sorted, are the CSR rows in
+        # order.  The ids may be int32, so the keys start int64
+        bits = (n_seen - 1).bit_length()
         key = lo.astype(np.int64)
-        key *= base
-        key += hi
+        key <<= bits
+        key |= hi
         del lo, hi
         key.sort()
         key = key[_run_starts(key)]
-        lo, hi = np.divmod(key, base)
+        lo, hi = key >> bits, key & ((1 << bits) - 1)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n), out=indptr[1:])
-        hi *= base
-        hi += lo
+        hi <<= bits
+        hi |= lo
         del lo
         both = np.concatenate([key, hi])
         del key, hi
         both.sort()
-        np.remainder(both, base, out=both)
+        both &= (1 << bits) - 1
         return cls(n=n, indptr=indptr, indices=both.astype(_index_dtype(n)), labels=labels)
 
 
@@ -438,15 +436,22 @@ def _adjacency_flat(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray):
 
 def _component_labels(rows: np.ndarray, indices: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """Component labels of the kept ids of a CSR graph, given as the row
-    and the column of each entry, -1 for the rest."""
-    k = len(kept)
+    and the column of each entry, -1 for the rest; a kept id's label is
+    the smallest id in its component."""
     # one direction of each kept edge is enough for undirected labels
     entries = (rows < indices) & kept[rows] & kept[indices]
-    rows = rows[entries]
-    sub_indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=k), out=sub_indptr[1:])
-    adj = sp.csr_matrix((np.ones(len(rows), dtype=np.int8), indices[entries], sub_indptr), shape=(k, k))
-    labels = _sp_components(adj, directed=False)[1]
+    a, b = rows[entries], indices[entries]
+    # each round, every root takes the least root across its edges and
+    # every id jumps to its root; an edge between equal roots is done
+    labels = np.arange(len(kept))
+    while len(a):
+        la, lb = labels[a], labels[b]
+        apart = la != lb
+        a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
+        np.minimum.at(labels, la, lb)
+        np.minimum.at(labels, lb, la)
+        while not np.array_equal(up := labels[labels], labels):
+            labels = up
     labels[~kept] = -1
     return labels
 
@@ -456,13 +461,7 @@ def components(graph: Graph, mask: NodeMask) -> ComponentDecomposition:
     active = np.asarray(mask, dtype=bool)
     if active.shape != (graph.n,):
         raise ValueError("mask length must equal graph.n")
-    act_idx = np.flatnonzero(active)
-    # act_idx ascends, so the first occurrence of each label is its
-    # smallest member, which becomes the canonical component id
     rows = np.repeat(np.arange(graph.n, dtype=graph.indices.dtype), graph.degree)
-    labels = _component_labels(rows, graph.indices, active)[act_idx]
-    _, first, inverse, counts = np.unique(labels, return_index=True, return_inverse=True, return_counts=True)
-    canon = act_idx[first]
-    component_id = np.full(graph.n, -1, dtype=np.int64)
-    component_id[act_idx] = canon[inverse]
-    return ComponentDecomposition(component_id=component_id, gcc_size=int(counts.max(initial=0)))
+    component_id = _component_labels(rows, graph.indices, active)
+    sizes = np.bincount(component_id[active])
+    return ComponentDecomposition(component_id=component_id, gcc_size=int(sizes.max(initial=0)))

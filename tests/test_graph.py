@@ -1,22 +1,27 @@
 """Parsing, component decomposition, and mask bookkeeping."""
 
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netdismantle
 from netdismantle import (
     ComponentDecomposition,
     Graph,
     ParseError,
+    Subgraph,
     components,
     full_mask,
     parse_edge_list,
 )
-from netdismantle.graph import _SPAN
+from netdismantle.graph import _SPAN, _component_labels
 
 from conftest import BUNDLED, DATA_DIR, random_graph
 from oracles import bfs_components, component_sizes, edges, gcc_size, id_map, largest_component, members
@@ -445,3 +450,82 @@ class TestComponents:
             current = gcc_size(g, mask)
             assert current <= previous
             previous = current
+
+    @staticmethod
+    def assert_matches_bfs(g, mask):
+        expected = min_member_labels(g, mask)
+        dec = components(g, mask)
+        assert np.array_equal(dec.component_id, expected)
+        assert dec.gcc_size == np.bincount(expected[expected >= 0]).max(initial=0)
+
+    def test_long_path_with_shuffled_ids(self):
+        # a long chain whose ids follow no order along it: labels must
+        # travel the whole path, not just between neighbouring ids
+        n = 200_000
+        perm = np.random.default_rng(3).permutation(n)
+        g = Graph.from_edges(np.stack([perm[:-1], perm[1:]], axis=1), n=n)
+        self.assert_matches_bfs(g, full_mask(n))
+        mask = full_mask(n)
+        mask[perm[::10_000][1:]] = False
+        self.assert_matches_bfs(g, mask)
+
+    def test_grid_with_shuffled_ids(self):
+        side = 450
+        perm = np.random.default_rng(4).permutation(side * side)
+        ids = perm.reshape(side, side)
+        pairs = np.concatenate([
+            np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1),
+            np.stack([ids[:-1, :].ravel(), ids[1:, :].ravel()], axis=1),
+        ])
+        g = Graph.from_edges(pairs, n=side * side)
+        self.assert_matches_bfs(g, full_mask(g.n))
+        # removing two crossing lines of the grid leaves four blocks
+        mask = full_mask(g.n)
+        mask[ids[side // 3, :]] = False
+        mask[ids[:, side // 2]] = False
+        self.assert_matches_bfs(g, mask)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_masked_graphs(self, seed):
+        # mean degrees of 0.8 to 3 straddle the percolation threshold:
+        # many components, and long thin trees
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(500, 3_000))
+        g = Graph.from_edges(rng.integers(0, n, size=(int(n * rng.uniform(0.4, 1.5)), 2)), n=n)
+        self.assert_matches_bfs(g, rng.random(n) < rng.uniform(0.5, 1.0))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pieces_label_by_smallest_local_id(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(seed, 300, 0.008)
+        # global ids differ from local ones, so a label must be local
+        view = Subgraph(3 * np.arange(g.n) + 1, g.indptr, g.indices)
+        kept = rng.random(g.n) < 0.8
+        expected = min_member_labels(g, kept)
+        labels = _component_labels(view.rows, view.indices, kept)
+        assert np.array_equal(labels, expected)
+        roots, sizes = np.unique(expected[kept], return_counts=True)
+        pieces = view.pieces(kept, 1)
+        local = [np.searchsorted(view.nodes, piece.nodes) for piece in pieces]
+        assert [int(ids[0]) for ids in local] == roots[sizes > 1].tolist()
+        for ids in local:
+            assert (labels[ids] == ids[0]).all()
+
+
+def min_member_labels(g, mask):
+    """Each active node's smallest fellow member by BFS, -1 for the rest."""
+    labels = np.full(g.n, -1)
+    for comp in bfs_components(g, mask):
+        labels[list(comp)] = min(comp)
+    return labels
+
+
+def test_import_leaves_csgraph_unloaded():
+    # a fresh process: the tests themselves may have imported csgraph
+    src = str(Path(netdismantle.__file__).resolve().parents[1])
+    code = "import sys, netdismantle; print('scipy.sparse.csgraph' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
