@@ -19,6 +19,9 @@ from .errors import InvalidCostError
 from .graph import Subgraph
 from .spectral import Partition
 
+# the sweep turns this many cut edges at a time into Python ints
+_SWEEP_BLOCK = 8_192
+
 
 @dataclass(frozen=True)
 class CoverResult:
@@ -36,6 +39,13 @@ def cut_edges(view: Subgraph, partition: Partition) -> np.ndarray:
     return np.stack([rows[keep], cols[keep]], axis=1)
 
 
+def _pairs(cut) -> np.ndarray:
+    """The cut as an (m, 2) id array: int32 or int64 as given, anything
+    else, an empty list's float64 too, as int64."""
+    cut = np.asarray(cut)
+    return (cut if cut.dtype == np.int32 else cut.astype(np.int64, copy=False)).reshape(-1, 2)
+
+
 def weighted_vertex_cover(cut: np.ndarray, weight: np.ndarray) -> CoverResult:
     """Local-ratio sweep over the cut edges in their given order.
 
@@ -45,17 +55,19 @@ def weighted_vertex_cover(cut: np.ndarray, weight: np.ndarray) -> CoverResult:
     reaches zero (including zero-cost ones) form the cover, in ascending
     order.  Its cost is at most twice the optimum.
     """
-    cut = np.asarray(cut, dtype=np.int64).reshape(-1, 2)
+    cut = _pairs(cut)
     weight = np.asarray(weight, dtype=np.float64)
     if (weight < 0).any():
         raise InvalidCostError("cost vector has negative entries")
     residual = weight.tolist()
-    for u, v in zip(cut[:, 0].tolist(), cut[:, 1].tolist()):
-        ru, rv = residual[u], residual[v]
-        if ru > 0.0 and rv > 0.0:
-            eps = min(ru, rv)
-            residual[u] = ru - eps
-            residual[v] = rv - eps
+    for lo in range(0, len(cut), _SWEEP_BLOCK):
+        block = cut[lo : lo + _SWEEP_BLOCK]
+        for u, v in zip(block[:, 0].tolist(), block[:, 1].tolist()):
+            ru, rv = residual[u], residual[v]
+            if ru > 0.0 and rv > 0.0:
+                eps = min(ru, rv)
+                residual[u] = ru - eps
+                residual[v] = rv - eps
     on_cut = np.zeros(len(weight), dtype=bool)
     on_cut[cut] = True
     return CoverResult(cover=np.flatnonzero(on_cut & (np.array(residual) == 0.0)))
@@ -65,7 +77,7 @@ def prune_redundant(result: CoverResult, cut: np.ndarray, weight: np.ndarray) ->
     """Drop cover nodes all of whose cut edges are covered by the other
     endpoint, trying the most expensive first (ties: larger id first, so
     equal-cost pairs resolve toward keeping the earlier node)."""
-    cut = np.asarray(cut, dtype=np.int64).reshape(-1, 2)
+    cut = _pairs(cut)
     weight = np.asarray(weight, dtype=np.float64)
     in_cover = np.zeros(len(weight), dtype=bool)
     in_cover[result.cover] = True

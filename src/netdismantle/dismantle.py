@@ -23,7 +23,7 @@ import numpy as np
 
 from .costs import CostMode, CostVector
 from .errors import InternalInvariantError
-from .graph import Graph, Subgraph, _adjacency_flat, _run_starts, components, full_mask
+from .graph import Graph, Subgraph, _adjacency_flat, _index_dtype, _run_starts, components, full_mask
 from .cover import cut_edges, prune_redundant, weighted_vertex_cover
 from .rng import PRNG_NAME, mix_seed
 from .spectral import (
@@ -181,8 +181,9 @@ def _roots_around(
     rows, nbrs = rows[active], nbrs[active]
     del active
     # keys in int64: an int32 row times n could wrap
-    key = rows.astype(np.int64, copy=False) * graph.n
+    key = rows.astype(np.int64)
     del rows
+    key *= graph.n
     key += np.asarray(parent)[nbrs]
     del nbrs
     key.sort()
@@ -196,7 +197,8 @@ def _roots_around(
     bounds = np.searchsorted(owner, feasible).tolist()
     bounds.append(len(owner))
     del owner
-    flat = root.tolist()
+    # a root is its own parent, so the lists share the forest's int objects
+    flat = list(map(parent.__getitem__, root.tolist()))
     del root
     nodes = removed[feasible]
     roots = {v: flat[a:b] for v, a, b in zip(nodes.tolist(), bounds, bounds[1:])}
@@ -224,21 +226,24 @@ def replay_gcc_sizes(
     parent, size, current = forest
     # the removed nodes' rows in one pass, keeping only the neighbours
     # already back when a node returns: those removed after it, or never
-    position = np.full(graph.n, len(order), dtype=np.int64)
-    position[order] = np.arange(len(order))
+    index = _index_dtype(len(order) + 1)
+    position = np.full(graph.n, len(order), dtype=index)
+    position[order] = np.arange(len(order), dtype=index)
     rows, nbrs = _adjacency_flat(graph.indptr, graph.indices, order)
     back = position[nbrs] > rows
     del position
-    bounds = np.searchsorted(rows[back], np.arange(len(order) + 1)).tolist()
+    # keys of the rows' dtype, so searchsorted copies no rows to int64
+    bounds = np.searchsorted(rows[back], np.arange(len(order) + 1, dtype=rows.dtype)).tolist()
     del rows
-    flat = nbrs[back].tolist()
+    # taken into Python ints one node at a time, not all at once
+    flat = nbrs[back]
     del nbrs, back
     nodes = order.tolist()
     after = [0] * len(nodes)
     for i in range(len(nodes) - 1, -1, -1):
         after[i] = current
         root = _find(parent, nodes[i])
-        for u in flat[bounds[i] : bounds[i + 1]]:
+        for u in flat[bounds[i] : bounds[i + 1]].tolist():
             # union by size: the smaller tree hangs under the larger root
             other = _find(parent, u)
             if other != root:
@@ -277,6 +282,7 @@ def dismantle(
     decomposition = components(graph, full_mask(graph.n))
     metadata.initial_gcc = decomposition.gcc_size
     pieces = Subgraph(np.arange(graph.n), graph.indptr, graph.indices).split(decomposition.component_id, target.c)
+    del decomposition  # n component ids the loop never reads again
     # components above the target, largest first, ties to the smaller id
     heap: list[tuple[int, int, Subgraph]] = []
     batches: list[np.ndarray] = []
@@ -354,19 +360,24 @@ def reinsert(
     # neither the heap keys nor a node's root list depend on the order
     nodes, merged, roots = _roots_around(graph, order, base, parent, size, target.c)
     del base
-    heap = list(zip(merged, (-costs.w[nodes]).tolist(), nodes.tolist()))
-    del nodes, merged
+    # one int per node orders as (merged size, -cost, id) would: the size
+    # over the rank of the cost, highest first, over the id
+    ranks, rank = np.unique(-costs.w[nodes], return_inverse=True)
+    n, unit = graph.n, len(ranks) * graph.n
+    heap = [s * unit + r * n + v for s, r, v in zip(merged, rank.tolist(), nodes.tolist())]
+    del nodes, merged, ranks, rank
     heapq.heapify(heap)
     returned = []
     while heap:
-        s, neg_w, v = heapq.heappop(heap)
+        key = heapq.heappop(heap)
+        s, v = key // unit, key % n
         current = {_find(parent, r) for r in roots[v]}
         s_now = 1 + sum(map(size.__getitem__, current))
         if s_now > target.c:
             del roots[v]
             continue
         if s_now > s:
-            heapq.heappush(heap, (s_now, neg_w, v))
+            heapq.heappush(heap, key + (s_now - s) * unit)
             continue
         del roots[v]
         returned.append(v)

@@ -418,11 +418,14 @@ def _gather_rows(indptr: np.ndarray, rows: np.ndarray, lengths: np.ndarray, dtyp
     """The indptr, of the given dtype, of a CSR whose row j takes
     lengths[j] entries from row rows[j] of the CSR with the given indptr,
     and the source position of each of its entries; a row may read past
-    its source row's end."""
+    its source row's end, by at most one past the source's last entry.
+    The positions are int32 while the source's entries and the new CSR's
+    fit, so gathering with them copies nothing to intp."""
     out = np.zeros(len(rows) + 1, dtype=dtype)
     np.cumsum(lengths, out=out[1:])
-    src = np.repeat(indptr[rows] - out[:-1], lengths)
-    src += np.arange(len(src), dtype=src.dtype)
+    index = _index_dtype(max(int(indptr[-1]), int(out[-1])))
+    src = np.repeat((indptr[rows] - out[:-1]).astype(index), lengths)
+    src += np.arange(len(src), dtype=index)
     return out, src
 
 
@@ -431,7 +434,7 @@ def _adjacency_flat(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray):
     neighbor per entry)."""
     counts = indptr[nodes + 1] - indptr[nodes]
     src = _gather_rows(indptr, nodes, counts, indptr.dtype)[1]
-    return np.repeat(np.arange(len(nodes)), counts), indices[src]
+    return np.repeat(np.arange(len(nodes), dtype=_index_dtype(len(nodes))), counts), indices[src]
 
 
 def _component_labels(rows: np.ndarray, indices: np.ndarray, kept: np.ndarray) -> np.ndarray:

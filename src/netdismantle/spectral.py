@@ -48,6 +48,8 @@ _DOT_CHUNK = 10_000
 # the components of 2.2k-2.7k changes that the benchmark's regular and
 # preferential-attachment inputs bisect, it ties or costs up to 23% more
 _SORT_ROWS_MIN_CHANGES = 4_096
+# B's entries are built this many at a time, so their temporaries stay small
+_ENTRY_BLOCK = 4_096
 
 
 class _UnderflowCollapse(Exception):
@@ -97,31 +99,36 @@ def build_operator(view: Subgraph, costs: CostVector) -> WeightedLaplacianOperat
         raise InvalidCostError("negative cost inside component")
     if not (w > 0).any():
         raise InvalidCostError("component has all-zero costs, edge weights vanish")
-    b = w[view.rows] + w[view.indices]  # B's entries, in the subgraph's CSR order
-    lengths = np.diff(view.indptr)
-    # each nonempty row summed as scipy's csr_matrix.sum(axis=1) sums it
-    weighted_degree = np.zeros(k)
-    nonempty = np.flatnonzero(lengths)
-    weighted_degree[nonempty] = np.add.reduceat(b, view.indptr[nonempty])
-    scale = 2.0 * float(weighted_degree.max()) - weighted_degree
-    del weighted_degree, nonempty
-    lengths += 1
+    lengths = np.diff(view.indptr) + 1
     rows, order = np.arange(k), None
     if np.count_nonzero(lengths[1:] != lengths[:-1]) >= _SORT_ROWS_MIN_CHANGES:
         rows = np.argsort(lengths, kind="stable")
         order = np.empty(k, dtype=np.int64)
         order[rows] = np.arange(k)
-    # step row j is local row rows[j]: its entries of B in order, then
-    # scale; a diagonal slot first gathers the entry after its row (clipped
-    # at the end), then is overwritten.  Indices as scipy would store them
-    index = _index_dtype(len(b) + k)
+    # step row j is local row rows[j]: its entries of B in order, then a
+    # diagonal slot, which first reads the entry after its row (clipped at
+    # the end) and is overwritten.  Indices as scipy would store them
+    index = _index_dtype(len(view.indices) + k)
     indptr, src = _gather_rows(view.indptr, rows, lengths[rows], index)
-    data = b.take(src, mode="clip")
-    del b
-    indices = view.indices.take(src, mode="clip").astype(index, copy=False)
+    np.minimum(src, len(view.indices) - 1, out=src)
+    indices = view.indices[src].astype(index, copy=False)
+    # B's entries, w_u + w_v, a block at a time from the row and column
+    # of each, so no array of them in the subgraph's order is ever held
+    ends = view.rows
+    data = np.empty(len(src))
+    for lo in range(0, len(src), _ENTRY_BLOCK):
+        hi = lo + _ENTRY_BLOCK
+        np.add(w[ends[src[lo:hi]]], w[indices[lo:hi]], out=data[lo:hi])
     del src
+    # each row's entries of B summed as scipy's csr_matrix.sum(axis=1)
+    # sums them, a row without any to zero; the diagonal is c minus that
     diagonal = indptr[1:] - 1
-    indices[diagonal], data[diagonal] = rows, scale[rows]
+    bounds = np.empty(2 * k, dtype=np.intp)  # reduceat would copy others to intp
+    bounds[0::2], bounds[1::2] = indptr[:-1], diagonal
+    degree = np.add.reduceat(data, bounds)[::2]
+    del bounds
+    degree[lengths[rows] == 1] = 0.0
+    indices[diagonal], data[diagonal] = rows, 2.0 * float(degree.max()) - degree
     return WeightedLaplacianOperator(nodes, (indptr, indices, data), order)
 
 

@@ -14,7 +14,7 @@ from netdismantle import (
     prune_redundant,
     weighted_vertex_cover,
 )
-from netdismantle.cover import CoverResult
+from netdismantle.cover import _SWEEP_BLOCK, CoverResult
 from netdismantle.errors import InvalidCostError
 
 from conftest import random_bipartite_cut
@@ -175,6 +175,49 @@ class TestPrune:
         pruned = prune_redundant(empty, np.empty((0, 2), dtype=np.int64), costs.w)
         assert len(pruned.cover) == 0
         assert float(costs.w[pruned.cover].sum()) == 0.0
+
+
+def reference_sweep(cut, w):
+    """The local-ratio sweep over the whole cut in one loop."""
+    residual = list(w)
+    for u, v in cut:
+        eps = min(residual[u], residual[v])
+        residual[u] -= eps
+        residual[v] -= eps
+    return sorted({int(x) for e in cut for x in e if residual[x] == 0.0})
+
+
+class TestCutTypes:
+    """An int32 cut is swept as given, an int64 or list cut as int64, in
+    blocks of _SWEEP_BLOCK edges; the covers are the same either way."""
+
+    @pytest.mark.parametrize("m", [1, _SWEEP_BLOCK, _SWEEP_BLOCK + 1, 3 * _SWEEP_BLOCK + 17])
+    def test_int32_int64_and_list_cuts_agree(self, m):
+        rng = np.random.default_rng(m)
+        n = 500
+        u = rng.integers(0, n, size=m)
+        cut = np.stack([u, (u + rng.integers(1, n, size=m)) % n], axis=1)
+        w = rng.integers(0, 6, size=n).astype(np.float64)
+        want = reference_sweep(cut.tolist(), w.tolist())
+        pruned = None
+        for given in (cut.astype(np.int32), cut.astype(np.int64), cut.tolist()):
+            cover = weighted_vertex_cover(given, w)
+            assert cover.cover.tolist() == want
+            again = prune_redundant(cover, given, w)
+            assert covers_all(again.cover, cut)
+            if pruned is None:
+                pruned = again.cover.tolist()
+            assert again.cover.tolist() == pruned
+
+    @pytest.mark.parametrize(
+        "empty", [[], np.empty((0, 2), dtype=np.int32), np.empty((0, 2), dtype=np.int64)], ids=["list", "int32", "int64"]
+    )
+    def test_empty_cut_of_every_type(self, empty):
+        # np.asarray([]) is float64, which cannot index
+        w = np.array([0.0, 1.0, 2.0])
+        cover = weighted_vertex_cover(empty, w)
+        assert cover.cover.tolist() == []
+        assert prune_redundant(cover, empty, w).cover.tolist() == []
 
 
 class TestProperties:

@@ -21,7 +21,7 @@ from netdismantle import (
     full_mask,
     parse_edge_list,
 )
-from netdismantle.graph import _SPAN, _component_labels
+from netdismantle.graph import _SPAN, _adjacency_flat, _component_labels, _gather_rows
 
 from conftest import BUNDLED, DATA_DIR, random_graph
 from oracles import bfs_components, component_sizes, edges, gcc_size, id_map, largest_component, members
@@ -353,6 +353,43 @@ def test_parse_peak_memory_per_character():
     pairs = np.random.default_rng(5).integers(0, 20_000, size=(100_000, 2))
     text = "% drawn\n" + "".join(f"{u} {v}\n" for u, v in pairs.tolist())
     assert _traced_peak(parse_edge_list, text) <= PARSE_PEAK_BYTES_PER_CHAR * len(text)
+
+
+class TestGatherRows:
+    """Positions come out int32 while the source CSR's entries fit, so
+    gathering with them copies nothing to intp."""
+
+    def test_int32_positions_when_the_source_fits(self):
+        g = random_graph(4, 60, 0.1)
+        rows = np.array([5, 0, 59, 5, 17])
+        lengths = np.diff(g.indptr)[rows] + 1  # each reads one past its row
+        indptr, src = _gather_rows(g.indptr, rows, lengths, np.int64)
+        assert src.dtype == np.int32
+        assert indptr.tolist() == [0, *np.cumsum(lengths).tolist()]
+        want = np.concatenate([np.arange(g.indptr[r], g.indptr[r] + k) for r, k in zip(rows, lengths)])
+        assert src.tolist() == want.tolist()
+
+    def test_one_past_the_last_int32_entry_stays_int32(self):
+        indptr = np.array([0, 2**31 - 3, 2**31 - 1])
+        src = _gather_rows(indptr, np.array([1]), np.array([3]), np.int64)[1]
+        assert src.dtype == np.int32
+        assert src.tolist() == [2**31 - 3, 2**31 - 2, 2**31 - 1]
+
+    def test_int64_positions_past_int32(self):
+        # a fake two-row indptr: nothing of its size is allocated
+        indptr = np.array([0, 2**31 + 5, 2**31 + 9])
+        out, src = _gather_rows(indptr, np.array([1, 0]), np.array([4, 2]), np.int32)
+        assert src.dtype == np.int64
+        assert out.dtype == np.int32
+        assert src.tolist() == [2**31 + 5, 2**31 + 6, 2**31 + 7, 2**31 + 8, 0, 1]
+
+    def test_adjacency_flat_rows_are_int32(self):
+        g = random_graph(8, 40, 0.2)
+        nodes = np.array([3, 39, 0])
+        rows, nbrs = _adjacency_flat(g.indptr, g.indices, nodes)
+        assert rows.dtype == np.int32
+        assert rows.tolist() == np.repeat(np.arange(3), np.diff(g.indptr)[nodes]).tolist()
+        assert nbrs.tolist() == [u for v in nodes for u in g.neighbors(v).tolist()]
 
 
 class TestGraphShape:

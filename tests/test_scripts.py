@@ -35,6 +35,22 @@ def test_cost_table_runs_on_one_dataset(tmp_path):
     assert (out / "manifest.json").is_file()
 
 
+
+def test_layer_peaks_prints_every_phase(tmp_path):
+    src = str(Path(netdismantle.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "scripts/layer_peaks.py", "data/ba_300.txt", "--cost", "degree", "--seed", "3"],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert [row[0] for row in rows] == ["parse", "dismantle", "reinsert+replay", "solution_json", "trajectory_csv"]
+    assert all(row[2] == "MiB" and float(row[1]) > 0.0 for row in rows)
+
 @pytest.fixture(scope="module")
 def bench_pairs():
     """scripts/bench_pairs.py as a module; loading it starts no run."""

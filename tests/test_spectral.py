@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -367,6 +368,29 @@ assert op.order is not None
 x = _power_iterate(op, initial_vector(1, n), 40)
 sys.stdout.write(hashlib.sha256(x.tobytes()).hexdigest())
 """
+
+
+# build_operator's tracemalloc peak per stored step entry on the graph
+# below, 25.77 bytes under numpy 2.4, plus 4%; the build that held all of
+# B's entries next to the step's and gathered them with int64 positions,
+# which np.take then copied to intp, peaked at 33.75
+BUILD_PEAK_BYTES_PER_STEP_ENTRY = 26.8
+
+
+def test_build_operator_peak_memory_per_step_entry():
+    # irregular, so the step rows are sorted by length too; the view's
+    # row of every entry is built inside the trace, as the solve builds it
+    graph = heavy_tailed_graph(3, 20_000)
+    view = subgraph(graph, np.arange(graph.n))
+    costs = CostVector.for_mode(graph, "degree")
+    tracemalloc.start()
+    try:
+        op = build_operator(view, costs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.order is not None
+    assert peak <= BUILD_PEAK_BYTES_PER_STEP_ENTRY * len(op.step[1])
 
 
 def test_sumsq_is_the_plain_dot_up_to_one_chunk():
