@@ -9,14 +9,17 @@ state replays the new removal order, then writes the solution JSON and
 the trajectory CSV.  For each phase it prints the tracemalloc peak in MiB
 above what was traced when the phase began: for the parse that is
 nothing, and from `dismantle` on it is the live graph and costs plus the
-earlier phases' results.  The text is read before tracing starts.  Peaks
-are numpy's and Python's own allocations; RSS, which also counts library
-pages and allocator slack, is measured by benchmark/run.py.
+earlier phases' results.  The text is read before tracing starts, and a
+garbage collection runs before each phase, so no phase reuses objects that
+CPython's free lists kept from an earlier one.  Peaks are numpy's and
+Python's own allocations; RSS, which also counts library pages and
+allocator slack, is measured by benchmark/run.py.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import tracemalloc
 from pathlib import Path
@@ -28,6 +31,7 @@ from netdismantle.serialize import solution_json, trajectory_csv
 def _peak(fn, *args):
     """fn(*args) and its traced peak in MiB above the memory traced when
     it was called."""
+    gc.collect()
     before = tracemalloc.get_traced_memory()[0]
     tracemalloc.reset_peak()
     out = fn(*args)

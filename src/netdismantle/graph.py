@@ -9,6 +9,7 @@ local ids, and splits it into pieces without scanning the whole graph.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -22,20 +23,62 @@ from .errors import ParseError
 NodeMask = np.ndarray
 
 
+class Labels(Sequence):
+    """Read-only node labels kept as one UTF-8 buffer, lone surrogates
+    passed, and each label's end offset in it, not as n str objects.
+
+    A label is decoded when it is read; a slice reads as a tuple, and the
+    whole equals the tuple of its labels.
+    """
+
+    def __init__(self, data: bytes, ends: np.ndarray):
+        self.data = data
+        self.ends = ends
+
+    @classmethod
+    def of(cls, labels: Iterable[str]) -> "Labels":
+        encoded = [label.encode("utf-8", "surrogatepass") for label in labels]
+        data = b"".join(encoded)
+        ends = np.fromiter(map(len, encoded), dtype=_index_dtype(len(data)), count=len(encoded))
+        return cls(data, np.cumsum(ends, out=ends))
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        i = range(len(self))[i]
+        start = int(self.ends[i - 1]) if i else 0
+        return self.data[start : int(self.ends[i])].decode("utf-8", "surrogatepass")
+
+    def __iter__(self):
+        start = 0
+        for end in self.ends.tolist():
+            yield self.data[start:end].decode("utf-8", "surrogatepass")
+            start = end
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, Labels)) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Labels({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with 0-based contiguous node ids.
 
     indptr/indices form a CSR adjacency over both directions, each row
     sorted; indices is int32 while the ids fit.  labels maps id back to
-    the token the node had in the input file; graphs built directly from
-    integer edges get string digits as labels.
+    the token the node had in the input file, as Labels; graphs built
+    directly from integer edges get string digits as labels.
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
-    labels: tuple[str, ...]
+    labels: Sequence[str]
 
     @property
     def m(self) -> int:
@@ -81,15 +124,14 @@ class Graph:
             n = n_seen
         elif n < n_seen:
             raise ValueError(f"n={n} too small for edge ids up to {n_seen - 1}")
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        else:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("labels length must equal n")
+        if not isinstance(labels, Labels):
+            labels = Labels.of(map(str, range(n)) if labels is None else labels)
+        if len(labels) != n:
+            raise ValueError("labels length must equal n")
         # one int64 key per pair, lo over the bits of hi, sorts as (lo, hi)
         # does; the keys of both directions, sorted, are the CSR rows in
-        # order.  The ids may be int32, so the keys start int64
+        # order, and row r starts at the first key >= r << bits.  The ids
+        # may be int32, so the keys start int64
         bits = (n_seen - 1).bit_length()
         key = lo.astype(np.int64)
         key <<= bits
@@ -97,15 +139,16 @@ class Graph:
         del lo, hi
         key.sort()
         key = key[_run_starts(key)]
-        lo, hi = key >> bits, key & ((1 << bits) - 1)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n), out=indptr[1:])
-        hi <<= bits
-        hi |= lo
-        del lo
-        both = np.concatenate([key, hi])
-        del key, hi
+        both = np.empty(2 * len(key), dtype=np.int64)
+        both[: len(key)] = key
+        # (hi, lo) in place: lo into the second half, then hi over it
+        np.right_shift(key, bits, out=both[len(key) :])
+        key &= (1 << bits) - 1
+        key <<= bits
+        both[len(key) :] |= key
+        del key
         both.sort()
+        indptr = np.searchsorted(both, np.arange(n + 1, dtype=np.int64) << bits)
         both &= (1 << bits) - 1
         return cls(n=n, indptr=indptr, indices=both.astype(_index_dtype(n)), labels=labels)
 
@@ -303,20 +346,13 @@ def _edge_tokens(codes: np.ndarray, ascii: bool) -> tuple[np.ndarray, np.ndarray
     return starts[keep], lengths[keep]
 
 
-def _labels(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
-    """The tokens codes[s : s + l], gathered into one space-separated
-    text, decoded once and split; a token holds no whitespace."""
-    seps = np.cumsum(lengths + 1)
-    seps -= 1
+def _labels(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> Labels:
+    """The tokens codes[s : s + l], gathered into one buffer."""
+    ends = np.cumsum(lengths, dtype=_index_dtype(int(lengths.sum())))
     # each output position's offset from its text position
-    shift = np.repeat(starts - (seps - lengths), lengths + 1)
+    shift = np.repeat(starts - (ends - lengths), lengths)
     shift += np.arange(len(shift), dtype=shift.dtype)
-    # the last separator may sit one past the text
-    np.minimum(shift, len(codes) - 1, out=shift)
-    out = codes[shift]
-    del shift
-    out[seps] = ord(" ")
-    return out[:-1].tobytes().decode("utf-8", "surrogatepass").split(" ")
+    return Labels(codes[shift].tobytes(), ends)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -398,6 +434,9 @@ class Subgraph:
         members = kept[np.bincount(labels[kept])[labels[kept]] > c]
         if not len(members):
             return []
+        if len(members) == self.size and labels.min() == labels.max():
+            # one group holds every id: the view is its own piece
+            return [self]
         members = members[np.argsort(labels[members], kind="stable")]
         starts = np.flatnonzero(_run_starts(labels[members]))
         # each member's rank within its group, int32 as scipy stores indices

@@ -1,6 +1,7 @@
 """Parsing, component decomposition, and mask bookkeeping."""
 
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -23,7 +24,7 @@ from netdismantle import (
 )
 from netdismantle.graph import _SPAN, _adjacency_flat, _component_labels, _gather_rows
 
-from conftest import BUNDLED, DATA_DIR, random_graph
+from conftest import BUNDLED, DATA_DIR, random_connected_graph, random_graph
 from oracles import bfs_components, component_sizes, edges, gcc_size, id_map, largest_component, members
 
 
@@ -349,10 +350,85 @@ def test_parse_peak_memory_of_non_ascii_labels():
 PARSE_PEAK_BYTES_PER_CHAR = 6.10
 
 
-def test_parse_peak_memory_per_character():
+def _drawn_text():
+    """100k uniform pairs over 20k nodes, as a benchmark input is written."""
     pairs = np.random.default_rng(5).integers(0, 20_000, size=(100_000, 2))
-    text = "% drawn\n" + "".join(f"{u} {v}\n" for u, v in pairs.tolist())
+    return "% drawn\n" + "".join(f"{u} {v}\n" for u, v in pairs.tolist())
+
+
+def test_parse_peak_memory_per_character():
+    text = _drawn_text()
     assert _traced_peak(parse_edge_list, text) <= PARSE_PEAK_BYTES_PER_CHAR * len(text)
+
+
+# the traced bytes a graph parsed from the text above holds per node,
+# 56.81 under numpy 2.4, plus 4%: 8 of indptr, 40 of int32 indices and
+# 9 of labels in one UTF-8 buffer with int32 end offsets.  Labels held as
+# a tuple of str objects took the graph to 109.8
+GRAPH_BYTES_PER_NODE = 59.1
+
+
+def test_parsed_graph_bytes_per_node():
+    text = _drawn_text()
+    tracemalloc.start()
+    try:
+        graph = parse_edge_list(text)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= GRAPH_BYTES_PER_NODE * graph.n
+
+
+class TestLabels:
+    """Labels read back as the str tokens they were given, from one buffer."""
+
+    ODD = ("a b", "", "é", "𝔘", "\ud800")
+
+    def graph(self):
+        return Graph.from_edges([(i, i + 1) for i in range(len(self.ODD) - 1)], labels=iter(self.ODD))
+
+    def test_odd_labels_round_trip(self):
+        labels = self.graph().labels
+        assert len(labels) == len(self.ODD)
+        assert [labels[i] for i in range(len(labels))] == list(self.ODD)
+        assert list(labels) == list(self.ODD)
+
+    def test_equal_to_the_tuple_both_ways(self):
+        labels = self.graph().labels
+        assert labels == self.ODD and self.ODD == labels
+        assert labels != self.ODD[:-1] and self.ODD[::-1] != labels
+
+    def test_negative_index_and_one_past_the_end(self):
+        labels = self.graph().labels
+        assert labels[-1] == "\ud800" and labels[-len(self.ODD)] == "a b"
+        with pytest.raises(IndexError):
+            labels[len(self.ODD)]
+
+    def test_slice_and_pickle(self):
+        g = self.graph()
+        assert g.labels[1:4] == self.ODD[1:4]
+        assert g.labels[::-2] == self.ODD[::-2]
+        back = pickle.loads(pickle.dumps(g))
+        assert back.labels == self.ODD and back.labels == g.labels
+
+    def test_labels_are_one_buffer(self):
+        labels = parse_edge_list("é x\n𝔘 x\n").labels
+        assert labels.data == "éx𝔘".encode()
+        assert labels.ends.tolist() == [2, 3, 7] and labels.ends.dtype == np.int32
+
+    def test_digits_when_none_are_given(self):
+        assert Graph.from_edges([(0, 2)], n=4).labels == ("0", "1", "2", "3")
+
+    def test_a_graph_built_with_a_tuple_keeps_it(self):
+        g = Graph(n=2, indptr=np.array([0, 1, 2]), indices=np.array([1, 0], dtype=np.int32), labels=("u", "v"))
+        assert g.labels == ("u", "v") and id_map(g) == {"u": 0, "v": 1}
+
+    @pytest.mark.parametrize("path", sorted(DATA_DIR.glob("*.txt")), ids=lambda path: path.name)
+    def test_bundled_labels_are_split_tokens_by_first_appearance(self, path):
+        text = path.read_text()
+        rows = [line.split() for line in text.splitlines()]
+        tokens = [token for row in rows if row and row[0][0] not in "%#" for token in row[:2]]
+        assert parse_edge_list(text).labels == tuple(dict.fromkeys(tokens))
 
 
 class TestGatherRows:
@@ -547,6 +623,43 @@ class TestComponents:
         assert [int(ids[0]) for ids in local] == roots[sizes > 1].tolist()
         for ids in local:
             assert (labels[ids] == ids[0]).all()
+
+
+class TestSplit:
+    def test_one_group_of_every_id_is_the_view_itself(self):
+        g = random_connected_graph(4, 60)
+        view = Subgraph(np.arange(g.n), g.indptr, g.indices)
+        (piece,) = view.split(np.zeros(g.n, dtype=np.int64), 10)
+        assert piece is view
+        # a copied piece: every id but the last
+        labels = np.zeros(g.n, dtype=np.int64)
+        labels[-1] = -1
+        (copied,) = view.split(labels, 10)
+        assert copied is not view
+        assert (piece.indptr.dtype, piece.indices.dtype) == (copied.indptr.dtype, copied.indices.dtype)
+
+    def test_two_groups_of_every_id_are_copied(self):
+        # two components of 7 and 5 nodes, their ids interleaved; with c = 4
+        # both groups are kept and together hold every id
+        rng = np.random.default_rng(8)
+        ids = rng.permutation(12)
+        groups = [np.sort(ids[:7]), np.sort(ids[7:])]
+        pairs = [(int(a[i]), int(a[i + 1])) for a in (ids[:7], ids[7:]) for i in range(len(a) - 1)]
+        g = Graph.from_edges(pairs + [(int(ids[0]), int(ids[6])), (int(ids[7]), int(ids[9]))], n=12)
+        view = Subgraph(np.arange(g.n), g.indptr, g.indices)
+        labels = np.zeros(g.n, dtype=np.int64)
+        labels[groups[1]] = groups[1][0]
+        labels[groups[0]] = groups[0][0]
+        pieces = view.split(labels, 4)
+        assert len(pieces) == 2 and all(piece is not view for piece in pieces)
+        for piece, group in zip(pieces, sorted(groups, key=lambda a: a[0])):
+            assert np.array_equal(piece.nodes, group)
+            # the induced subgraph in local ids, as the copying path builds it
+            local = np.searchsorted(group, edges(g))
+            inside = np.isin(edges(g), group).all(axis=1)
+            expected = Graph.from_edges(local[inside], n=len(group))
+            assert np.array_equal(piece.indptr, expected.indptr) and piece.indptr.dtype == np.int64
+            assert np.array_equal(piece.indices, expected.indices) and piece.indices.dtype == np.int32
 
 
 def min_member_labels(g, mask):
