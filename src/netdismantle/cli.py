@@ -1,8 +1,8 @@
 """Command-line front end.
 
-One binary, four subcommands: dismantle (single run or best-of-K
-ensemble), variability (compare runs across power-iteration budgets),
-bench (phase timings for one run), stats (graph summary).  Flags beat
+One binary, three subcommands: dismantle (single run or best-of-K
+ensemble, with each member's phase timings), variability (compare runs
+across power-iteration budgets), stats (graph summary).  Flags beat
 config-file values beat defaults; the resolved settings are echoed into
 the output manifest so a rerun from the manifest reproduces the files
 byte for byte.
@@ -24,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .costs import CostMode, CostVector
 from .dismantle import DismantlingTarget
-from .ensemble import EnsembleConfig, _run_member, run_ensemble, run_variability
+from .ensemble import EnsembleConfig, run_ensemble, run_variability
 from .errors import InternalInvariantError, InvalidCostError, ParseError
 from .graph import Graph, parse_edge_list
 from .serialize import format_float, histogram_csv, report_to_dict, solution_json, to_json, trajectory_csv
@@ -180,7 +180,9 @@ def _manifest(command: str, settings: RunSettings, graph: Graph, results: dict) 
 
 def cmd_dismantle(args: argparse.Namespace) -> int:
     settings = RunSettings(**_given_settings(args))
+    started = time.perf_counter()
     graph = _load_graph(settings.input)
+    parse_seconds = time.perf_counter() - started
     costs = CostVector.for_mode(graph, settings.cost)
     target = settings.target_for(graph)
     out_dir = Path(settings.out)
@@ -195,7 +197,9 @@ def cmd_dismantle(args: argparse.Namespace) -> int:
         "removed_count": best.removed_count,
         "target_c": target.c,
         "cost_summary": report.cost_summary(),
+        "parse_seconds": parse_seconds,
         "member_seconds": [member.seconds for member in report.members],
+        "member_phase_seconds": [member.solution.metadata.phase_seconds for member in report.members],
     }
     _write(out_dir, "manifest.json", to_json(_manifest("dismantle", settings, graph, results)))
     _write(out_dir, "solution.json", solution_json(best, best_cost))
@@ -263,34 +267,6 @@ def cmd_variability(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    settings = RunSettings(**_given_settings(args, unused=("ensemble", "workers")))
-    started = time.perf_counter()
-    graph = _load_graph(settings.input)
-    parse_seconds = time.perf_counter() - started
-    costs = CostVector.for_mode(graph, settings.cost)
-    target = settings.target_for(graph)
-    member = _run_member(graph, costs, target, settings.ensemble_config(1), 0, settings.iter_multiplier)
-    solution = member.solution
-    bench = {
-        "graph": graph.stats(),
-        "target_c": target.c,
-        "cost_mode": settings.cost,
-        "iter_multiplier": settings.iter_multiplier,
-        "bisections": solution.metadata.bisections,
-        "power_iterations": solution.metadata.power_iterations,
-        "removed_count": solution.removed_count,
-        "reported_cost": member.reported_cost,
-        "parse_seconds": parse_seconds,
-        "total_seconds": member.seconds,
-        "phase_seconds": solution.metadata.phase_seconds,
-    }
-    out_dir = Path(settings.out)
-    _write(out_dir, "bench.json", to_json(bench))
-    print(to_json(bench), end="")
-    return 0
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     unused = tuple(f.name for f in fields(RunSettings) if f.name not in ("input", "out"))
     given = _given_settings(args, unused)
@@ -320,10 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multipliers", default="1,200,500", help="comma-separated budgets")
     p.add_argument("--members", type=int, default=10, help="seeds per budget")
     p.set_defaults(func=cmd_variability)
-
-    p = subs.add_parser("bench", help="time one run, phase by phase")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_bench)
 
     p = subs.add_parser("stats", help="parse a graph and print its summary")
     _add_common_flags(p)

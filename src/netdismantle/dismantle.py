@@ -157,25 +157,32 @@ def _find(parent: list[int], v: int) -> int:
     return v
 
 
-def _forest(graph: Graph, mask) -> tuple[list[int], list[int], int]:
+def _forest_arrays(graph: Graph, mask) -> tuple[np.ndarray, np.ndarray, int]:
     """A union-find forest seeded with the masked graph's components as
     flat stars, with no per-edge union loop: (parent, size, gcc size).
     A component's id is its root, every inactive node is a root of its
     own, and size holds each root's node count."""
     decomposition = components(graph, mask)
     parent = np.where(np.asarray(mask, dtype=bool), decomposition.component_id, np.arange(graph.n))
-    size = np.bincount(parent, minlength=graph.n)
-    return parent.tolist(), size.tolist(), decomposition.gcc_size
+    return parent, np.bincount(parent, minlength=graph.n), decomposition.gcc_size
+
+
+def _forest(graph: Graph, mask) -> tuple[list[int], list[int], int]:
+    """_forest_arrays with parent and size as lists, which _find and the
+    unions index one int at a time."""
+    parent, size, gcc = _forest_arrays(graph, mask)
+    return parent.tolist(), size.tolist(), gcc
 
 
 def _roots_around(
-    graph: Graph, removed: np.ndarray, base: np.ndarray, parent: list[int], size: list[int], c: int
-) -> tuple[np.ndarray, list[int], dict[int, list[int]]]:
+    graph: Graph, removed: np.ndarray, base: np.ndarray, component_of: np.ndarray, size: np.ndarray, c: int
+) -> tuple[np.ndarray, list[int], np.ndarray, list[int]]:
     """The removed nodes whose return would form a component of at most c
     nodes, found in one pass over the removed nodes' rows: their ids, the
-    size of that component, and the distinct component ids around each.
-    parent and size must be a _forest of the active nodes, so a
-    component id is its root."""
+    size of that component, and the distinct component ids around them in
+    one array, the i-th node's from bounds[i] to bounds[i + 1].
+    component_of and size must be the _forest_arrays of the active nodes,
+    so a component id is its root."""
     rows, nbrs = _adjacency_flat(graph.indptr, graph.indices, removed)
     active = base[nbrs]
     rows, nbrs = rows[active], nbrs[active]
@@ -184,25 +191,19 @@ def _roots_around(
     key = rows.astype(np.int64)
     del rows
     key *= graph.n
-    key += np.asarray(parent)[nbrs]
+    key += component_of[nbrs]
     del nbrs
     key.sort()
     owner, root = np.divmod(key[_run_starts(key)], graph.n)
     del key
-    merged = 1 + np.bincount(owner, minlength=len(removed), weights=np.asarray(size)[root])
+    merged = 1 + np.bincount(owner, minlength=len(removed), weights=size[root])
     ok = merged <= c
     keep = ok[owner]
     owner, root = owner[keep], root[keep]
     feasible = np.flatnonzero(ok)
     bounds = np.searchsorted(owner, feasible).tolist()
     bounds.append(len(owner))
-    del owner
-    # a root is its own parent, so the lists share the forest's int objects
-    flat = list(map(parent.__getitem__, root.tolist()))
-    del root
-    nodes = removed[feasible]
-    roots = {v: flat[a:b] for v, a, b in zip(nodes.tolist(), bounds, bounds[1:])}
-    return nodes, merged[feasible].astype(np.int64).tolist(), roots
+    return removed[feasible], merged[feasible].astype(np.int64).tolist(), root, bounds
 
 
 def replay_gcc_sizes(
@@ -356,10 +357,16 @@ def reinsert(
     order = solution._order
     base = full_mask(graph.n)
     base[order] = False
-    parent, size, gcc = _forest(graph, base)
+    component_of, sizes, gcc = _forest_arrays(graph, base)
     # neither the heap keys nor a node's root list depend on the order
-    nodes, merged, roots = _roots_around(graph, order, base, parent, size, target.c)
-    del base
+    nodes, merged, root, bounds = _roots_around(graph, order, base, component_of, sizes, target.c)
+    parent, size = component_of.tolist(), sizes.tolist()
+    del base, component_of, sizes
+    # a root is its own parent, so the lists share the forest's int objects
+    flat = list(map(parent.__getitem__, root.tolist()))
+    del root
+    roots = {v: flat[a:b] for v, a, b in zip(nodes.tolist(), bounds, bounds[1:])}
+    del flat, bounds
     # one int per node orders as (merged size, -cost, id) would: the size
     # over the rank of the cost, highest first, over the id
     ranks, rank = np.unique(-costs.w[nodes], return_inverse=True)

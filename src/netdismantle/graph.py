@@ -37,9 +37,15 @@ class Labels(Sequence):
 
     @classmethod
     def of(cls, labels: Iterable[str]) -> "Labels":
-        encoded = [label.encode("utf-8", "surrogatepass") for label in labels]
-        data = b"".join(encoded)
-        ends = np.fromiter(map(len, encoded), dtype=_index_dtype(len(data)), count=len(encoded))
+        labels = list(labels)
+        data = "".join(labels)
+        if data.isascii():
+            # one character is one byte, so the str lengths give the ends
+            data = data.encode("ascii")
+        else:
+            labels = [label.encode("utf-8", "surrogatepass") for label in labels]
+            data = b"".join(labels)
+        ends = np.fromiter(map(len, labels), dtype=_index_dtype(len(data)), count=len(labels))
         return cls(data, np.cumsum(ends, out=ends))
 
     def __len__(self) -> int:
@@ -53,9 +59,13 @@ class Labels(Sequence):
         return self.data[start : int(self.ends[i])].decode("utf-8", "surrogatepass")
 
     def __iter__(self):
+        # an ASCII buffer is decoded once: its byte offsets index the str
+        is_ascii = self.data.isascii()
+        data = self.data.decode("ascii") if is_ascii else self.data
         start = 0
         for end in self.ends.tolist():
-            yield self.data[start:end].decode("utf-8", "surrogatepass")
+            label = data[start:end]
+            yield label if is_ascii else label.decode("utf-8", "surrogatepass")
             start = end
 
     def __eq__(self, other) -> bool:

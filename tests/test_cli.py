@@ -106,6 +106,18 @@ class TestDismantleCommand:
         costs = [m["reported_cost"] for m in report["members"]]
         assert report["cost_summary"]["min"] == min(costs)
 
+    def test_manifest_records_parse_and_member_phase_seconds(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["dismantle", "--input", DATA_DIR / "sbm_600.txt", "--ensemble", "3", "--workers", "2", "--out", out]
+        assert run(argv) == 0
+        results = json.loads((out / "manifest.json").read_text())["results"]
+        assert results["parse_seconds"] >= 0.0
+        phases = results["member_phase_seconds"]
+        assert len(phases) == len(results["member_seconds"]) == 3
+        names = {"components", "spectral", "operator", "power_iteration", "fine_tune", "cover", "replay", "reinsert"}
+        for phase in phases:
+            assert set(phase) == names and min(phase.values()) >= 0.0
+
     def test_byte_order_mark_leaves_solution_bytes(self, ring_graph, tmp_path):
         bom = tmp_path / "bom.txt"
         bom.write_bytes(b"\xef\xbb\xbf" + ring_graph.read_bytes())
@@ -197,7 +209,7 @@ class TestErrors:
         ],
     )
     def test_bad_target_is_usage_error(self, path_graph, capsys, flag, value, message):
-        assert run(["bench", "--input", path_graph, flag, value]) == 2
+        assert run(["dismantle", "--input", path_graph, flag, value]) == 2
         assert message in capsys.readouterr().err
 
     def test_value_error_inside_the_solver_is_internal(self, path_graph, monkeypatch, capsys):
@@ -205,7 +217,7 @@ class TestErrors:
             raise ValueError("solver bug")
 
         monkeypatch.setattr("netdismantle.ensemble.dismantle", broken)
-        assert run(["bench", "--input", path_graph, "--target-size", "1"]) == 3
+        assert run(["dismantle", "--input", path_graph, "--target-size", "1"]) == 3
         assert "solver bug" in capsys.readouterr().err
 
     def test_parse_error_reports_line(self, tmp_path, capsys):
@@ -466,56 +478,6 @@ class TestVariabilityCommand:
             run(["variability", "--input", path_graph, "--multipliers", "1,x"]) == 2
         )
         assert "comma-separated" in capsys.readouterr().err
-
-
-class TestBenchCommand:
-    def test_bench_json_and_stdout(self, ring_graph, tmp_path, capsys):
-        out = tmp_path / "out"
-        code = run(
-            ["bench", "--input", ring_graph, "--target-size", "2", "--out", out]
-        )
-        assert code == 0
-        bench = json.loads((out / "bench.json").read_text())
-        printed = json.loads(capsys.readouterr().out)
-        assert bench["graph"]["n"] == 12
-        assert set(bench["phase_seconds"]) >= {
-            "components",
-            "spectral",
-            "operator",
-            "power_iteration",
-            "fine_tune",
-            "cover",
-            "replay",
-        }
-        assert printed["removed_count"] == bench["removed_count"]
-        assert bench["total_seconds"] >= 0.0
-        assert bench["parse_seconds"] >= 0.0
-        assert "parse" not in bench["phase_seconds"]
-
-    @pytest.mark.parametrize("flag,key", [("--ensemble", "ensemble"), ("--workers", "workers")])
-    def test_ensemble_settings_are_usage_errors(self, ring_graph, tmp_path, capsys, flag, key):
-        # bench times one member; an ensemble size or a pool would be ignored
-        common = ["bench", "--input", ring_graph, "--target-size", "2"]
-        assert run([*common, flag, "7", "--out", tmp_path / "flag"]) == 2
-        assert flag in capsys.readouterr().err
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: 7}))
-        assert run([*common, "--config", cfg, "--out", tmp_path / "config"]) == 2
-        assert flag in capsys.readouterr().err
-        assert not (tmp_path / "flag").exists() and not (tmp_path / "config").exists()
-
-    def test_workers_environment_is_accepted(self, ring_graph, tmp_path, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        out = tmp_path / "out"
-        assert run(["bench", "--input", ring_graph, "--target-size", "2", "--out", out]) == 0
-        assert (out / "bench.json").is_file()
-
-    @pytest.mark.parametrize("value", ["0", "lots"])
-    def test_invalid_workers_environment_is_not_read(self, ring_graph, tmp_path, monkeypatch, value):
-        monkeypatch.setenv(WORKERS_ENV, value)
-        out = tmp_path / "out"
-        assert run(["bench", "--input", ring_graph, "--target-size", "2", "--out", out]) == 0
-        assert (out / "bench.json").is_file()
 
 
 class TestStatsCommand:

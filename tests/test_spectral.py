@@ -259,7 +259,7 @@ def assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def assert_hot_path_matches_reference(graph, costs, comp, seed):
+def assert_hot_path_matches_reference(graph, costs, comp, seed, multiplier=1):
     op = build_operator(subgraph(graph, comp), costs)
     want = reference_b(graph, costs, op.nodes)
     for name in ("indptr", "indices", "data"):
@@ -268,7 +268,7 @@ def assert_hot_path_matches_reference(graph, costs, comp, seed):
     indptr, _, data = op.step
     rows = np.arange(op.size) if op.order is None else op.order
     assert_same_bytes(data[indptr[rows + 1] - 1], laplacian_parts(op)[2])
-    for budget in (1, 7, iteration_budget(op.size)):
+    for budget in dict.fromkeys((1, 7, iteration_budget(op.size), iteration_budget(op.size, multiplier))):
         x0 = initial_vector(seed, op.size)
         start = x0.copy()
         got = outcome(_power_iterate, op, x0, budget)
@@ -293,7 +293,10 @@ class TestHotPathReference:
         decomposition = components(graph, mask)
         comp = members(decomposition, largest_component(decomposition))
         costs = CostVector.for_mode(graph, mode)
-        assert_hot_path_matches_reference(graph, costs, comp, seed=graph.n)
+        # at D=200 the power iterations of these two revisit an earlier x
+        # exactly, so the long budget pins the bits of a repeating run
+        multiplier = 200 if (name, mode) in {("karate.txt", "degree"), ("lesmis.txt", "unit")} else 1
+        assert_hot_path_matches_reference(graph, costs, comp, seed=graph.n, multiplier=multiplier)
 
     @settings(max_examples=60, deadline=None)
     @given(
